@@ -138,6 +138,27 @@ for f in summary.csv summary.json; do
 done
 echo "shard smoke OK (killed worker $victim; restarted, merged, byte-identical)"
 
+# Resume smoke: the identical command on the finished tree must restore every
+# shard from its checkpoint. A shard that degraded to a fresh start would
+# rerun its generations and still merge the same bytes, so require that the
+# rerun adds no generation events to the feed.
+gens_before="$(grep -c '"event":"generation"' "$OUT/dist/progress.jsonl")"
+"$CCFUZZ" run --workers 2 --output "$OUT/dist" "${MATRIX[@]}" \
+  --throttle-ms 200 >/dev/null
+gens_after="$(grep -c '"event":"generation"' "$OUT/dist/progress.jsonl")"
+if [[ "$gens_after" -ne "$gens_before" ]]; then
+  echo "resume smoke FAILED: the rerun replayed $((gens_after - gens_before))" \
+    "generation(s) instead of restoring every shard" >&2
+  exit 1
+fi
+for f in summary.csv summary.json; do
+  if ! cmp -s "$OUT/dist/$f" "$OUT/dist-ref/$f"; then
+    echo "resume smoke FAILED: $f changed on the no-op rerun" >&2
+    exit 1
+  fi
+done
+echo "resume smoke OK (every shard restored; no generation rerun)"
+
 # Chaos smoke: the same 2-worker campaign under a deterministic fault plan —
 # each worker's first checkpoint write fails with ENOSPC (typed degrade, no
 # abort) and each worker crashes hard (exit 86) right after its second

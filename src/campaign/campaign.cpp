@@ -9,8 +9,6 @@
 #include <cassert>
 #include <csignal>
 #include <filesystem>
-#include <fstream>
-#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -30,16 +28,25 @@
 namespace ccfuzz::campaign {
 namespace {
 
-std::uint64_t fnv_str(std::uint64_t h, std::string_view s) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= trace::kFnvPrime;
-  }
-  return h;
-}
-
 std::uint64_t fnv_double(std::uint64_t h, double v) {
   return trace::fnv1a_u64(h, std::bit_cast<std::uint64_t>(v));
+}
+
+// Header of the version-1 text checkpoints of older releases. They are
+// refused with kVersion rather than converted: checkpoints are transient.
+constexpr std::string_view kTextCheckpointMagic = "# ccfuzz-checkpoint";
+
+// kCell section flag bits.
+constexpr std::uint64_t kFinalPass = 1;
+constexpr std::uint64_t kDone = 2;
+
+/// Checks the header of checkpoint `bytes`, which must outlive the reader.
+Result<record_io::RecordReader> open_checkpoint(std::string_view bytes) {
+  if (bytes.starts_with(kTextCheckpointMagic)) {
+    return Error::version("checkpoint: text format of an older release");
+  }
+  return record_io::RecordReader::open(bytes, kCheckpointMagic,
+                                       kCheckpointVersion);
 }
 
 /// True when any flow carries an opaque factory — such scenarios have no
@@ -60,7 +67,7 @@ std::uint64_t scenario_key(const scenario::ScenarioConfig& s) {
   // transport knobs but different topologies must not share cache entries.
   h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(s.flows.size()));
   for (const auto& f : s.flows) {
-    h = fnv_str(h, f.cca);
+    h = trace::fnv1a_bytes(h, f.cca);
     h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(f.start.ns()));
     h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(f.stop.ns()));
     h = trace::fnv1a_u64(h, static_cast<std::uint64_t>(f.access_delay.ns()));
@@ -115,7 +122,7 @@ std::uint64_t eval_key(const CellConfig& cell, std::size_t cell_index) {
   if (cell.factory || has_custom_flow_factory(cell.scenario)) {
     h = trace::fnv1a_u64(h, 0x1 + cell_index);
   } else {
-    h = fnv_str(h, cell.cca);
+    h = trace::fnv1a_bytes(h, cell.cca);
   }
   h = trace::fnv1a_u64(h, scenario_key(cell.scenario));
   h = trace::fnv1a_u64(h, cell.score->identity());
@@ -771,7 +778,7 @@ const CampaignReport& Campaign::run() {
   return report_;
 }
 
-void Campaign::write_checkpoint() const {
+void Campaign::write_checkpoint() {
   if (checkpoint_every_ <= 0 || output_dir_.empty()) return;
   std::error_code ec;
   std::filesystem::create_directories(output_dir_ + "/checkpoint", ec);
@@ -780,37 +787,42 @@ void Campaign::write_checkpoint() const {
                     output_dir_.c_str(), ec.message().c_str());
     return;
   }
-  std::ostringstream os;
-  os << "# ccfuzz-checkpoint v1\n";
-  os << "# cells " << cells_.size() << "\n";
-  os << std::setprecision(17);
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const CellState& cell = *cells_[i];
-    os << "# cell " << i << "\n";
-    os << "# name " << cell.cfg.name << "\n";
-    os << "# best_so_far " << cell.best_so_far << "\n";
-    os << "# since_improvement " << cell.since_improvement << "\n";
-    os << "# final_pass " << (cell.final_pass ? 1 : 0) << "\n";
-    os << "# done " << (cell.done ? 1 : 0) << "\n";
-    os << "# simulations " << cell.result.simulations << "\n";
-    os << "# cache_hits " << cell.result.cache_hits << "\n";
-    cell.fuzzer.save_state(os);
-    os << "# end cell\n";
+  namespace state_io = fuzz::state_io;
+  record_io::RecordWriter& w = checkpoint_writer_;
+  w.begin(kCheckpointMagic, kCheckpointVersion);
+  w.begin_section(state_io::kCampaign);
+  w.u64(cells_.size());
+  w.end_section();
+  for (const auto& cp : cells_) {
+    const CellState& cell = *cp;
+    w.begin_section(state_io::kCell);
+    w.bytes(cell.cfg.name);
+    w.f64(cell.best_so_far);
+    w.i64(cell.since_improvement);
+    w.u64((cell.final_pass ? kFinalPass : 0) | (cell.done ? kDone : 0));
+    w.i64(cell.result.simulations);
+    w.i64(cell.result.cache_hits);
+    w.end_section();
+    cell.fuzzer.save_state(w);
   }
-  // Entry order follows the hash map and is not meaningful; the restored
-  // cache is order-independent.
-  os << "# cache " << cache_.size() << "\n";
-  for (const auto& [key, eval] : cache_) {
-    os << "# cachekey " << std::hex << key << std::dec << "\n";
-    fuzz::state_io::write_eval(os, eval);
+  // Sorted by key, so the same state always encodes to the same bytes.
+  std::vector<std::pair<std::uint64_t, const fuzz::Evaluation*>> entries;
+  entries.reserve(cache_.size());
+  for (const auto& [key, eval] : cache_) entries.emplace_back(key, &eval);
+  std::sort(entries.begin(), entries.end());
+  w.begin_section(state_io::kCache);
+  w.u64(entries.size());
+  for (const auto& [key, eval] : entries) {
+    w.fixed64(key);
+    state_io::write_eval(w, *eval);
   }
-  os << "# end checkpoint\n";
+  w.end_section();
   const std::string path = output_dir_ + "/checkpoint/campaign.ckpt";
   // Rotating write: the previous snapshot survives as campaign.ckpt.prev,
   // so a corrupted head (bad sector, fsync lie) degrades to the previous
   // generation instead of a fresh start. A failed write (ENOSPC et al) is a
   // warning, not an abort: the campaign keeps running on the old snapshot.
-  if (Error e = write_file_rotating(path, os.str())) {
+  if (Error e = write_file_rotating(path, w.finish())) {
     CCFUZZ_LOG_WARN("checkpoint: write failed (%s): %s", to_string(e.code),
                     e.message.c_str());
   } else if (faultinject::should_fire(
@@ -822,115 +834,66 @@ void Campaign::write_checkpoint() const {
 }
 
 Error validate_checkpoint_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) return Error::io("cannot open checkpoint: " + path);
-  std::string line;
-  if (!std::getline(is, line)) return Error::truncated("checkpoint: empty file");
-  if (line.rfind("# ccfuzz-checkpoint", 0) != 0) {
-    return Error::parse("checkpoint: bad magic: " + line);
-  }
-  if (line != "# ccfuzz-checkpoint v1") {
-    return Error::version("checkpoint: unsupported version: " + line);
-  }
-  std::string last;
-  while (std::getline(is, line)) {
-    if (!line.empty()) last = line;
-  }
-  if (last != "# end checkpoint") {
-    return Error::truncated("checkpoint: missing terminator (torn write?)");
-  }
-  return Error::success();
+  Result<std::string> bytes = read_file(path);
+  if (!bytes) return bytes.error();
+  Result<record_io::RecordReader> r = open_checkpoint(*bytes);
+  if (!r) return r.error();
+  return r->verify_all();
 }
 
 Error Campaign::restore_checkpoint(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) return Error::io("cannot open checkpoint: " + path);
-  std::string line;
-  const auto next = [&](std::string& out) {
-    while (std::getline(is, out)) {
-      if (!out.empty()) return true;
-    }
-    return false;
-  };
-  // Parses "# <tag> <value>" into `out`; value-less tags pass a dummy.
-  const auto expect = [&](const char* tag, auto& out) -> Error {
-    if (!next(line)) {
-      return Error::truncated(std::string("checkpoint: missing '") + tag +
-                              "' line");
-    }
-    std::istringstream ls(line);
-    std::string hash, key;
-    ls >> hash >> key;
-    if (hash != "#" || key != tag || !(ls >> out)) {
-      return Error::parse(std::string("checkpoint: expected '# ") + tag +
-                          " <value>', got: " + line);
-    }
-    return Error::success();
-  };
+  namespace state_io = fuzz::state_io;
+  Result<std::string> bytes = read_file(path);
+  if (!bytes) return bytes.error();
+  Result<record_io::RecordReader> opened = open_checkpoint(*bytes);
+  if (!opened) return opened.error();
+  record_io::RecordReader& r = *opened;
 
-  if (!next(line)) return Error::truncated("checkpoint: empty file");
-  if (line.rfind("# ccfuzz-checkpoint", 0) != 0) {
-    return Error::parse("checkpoint: bad magic: " + line);
-  }
-  if (line != "# ccfuzz-checkpoint v1") {
-    return Error::version("checkpoint: unsupported version: " + line);
-  }
-  std::size_t n_cells = 0;
-  if (Error e = expect("cells", n_cells)) return e;
+  if (!r.enter(state_io::kCampaign)) return r.error();
+  const std::uint64_t n_cells = r.u64();
+  if (!r.leave()) return r.error();
   if (n_cells != cells_.size()) {
     return Error::mismatch("checkpoint: holds " + std::to_string(n_cells) +
                            " cells, campaign configures " +
                            std::to_string(cells_.size()));
   }
-  for (std::size_t i = 0; i < n_cells; ++i) {
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
     CellState& cell = *cells_[i];
-    std::size_t idx = 0;
-    if (Error e = expect("cell", idx)) return e;
-    if (idx != i) return Error::corrupt("checkpoint: cell index out of order");
-    if (!next(line)) return Error::truncated("checkpoint: missing cell name");
-    if (line.rfind("# name ", 0) != 0) {
-      return Error::parse("checkpoint: expected '# name', got: " + line);
-    }
+    if (!r.enter(state_io::kCell)) return r.error();
     // Config drift between the checkpointing and resuming processes would
     // silently graft one cell's population onto another's scenario.
-    if (line.substr(7) != cell.cfg.name) {
+    const std::string_view name = r.bytes();
+    if (r.ok() && name != cell.cfg.name) {
       return Error::mismatch("checkpoint: cell " + std::to_string(i) +
-                             " is '" + line.substr(7) + "', campaign expects '" +
-                             cell.cfg.name + "'");
+                             " is '" + std::string(name) +
+                             "', campaign expects '" + cell.cfg.name + "'");
     }
-    int final_pass = 0, done = 0;
-    if (Error e = expect("best_so_far", cell.best_so_far)) return e;
-    if (Error e = expect("since_improvement", cell.since_improvement)) return e;
-    if (Error e = expect("final_pass", final_pass)) return e;
-    if (Error e = expect("done", done)) return e;
-    if (Error e = expect("simulations", cell.result.simulations)) return e;
-    if (Error e = expect("cache_hits", cell.result.cache_hits)) return e;
-    cell.final_pass = final_pass != 0;
-    cell.done = done != 0;
-    if (Error e = cell.fuzzer.restore_state(is)) return e;
-    if (!next(line)) return Error::truncated("checkpoint: missing end cell");
-    if (line != "# end cell") {
-      return Error::parse("checkpoint: expected '# end cell', got: " + line);
+    cell.best_so_far = r.f64();
+    cell.since_improvement = static_cast<int>(r.i64());
+    const std::uint64_t flags = r.u64();
+    cell.result.simulations = r.i64();
+    cell.result.cache_hits = r.i64();
+    if (flags > (kFinalPass | kDone)) {
+      r.fail(Error::corrupt("checkpoint: bad cell flags"));
     }
+    cell.final_pass = (flags & kFinalPass) != 0;
+    cell.done = (flags & kDone) != 0;
+    if (!r.leave()) return r.error();
+    if (Error e = cell.fuzzer.restore_state(r)) return e;
   }
-  std::size_t n_cache = 0;
-  if (Error e = expect("cache", n_cache)) return e;
-  for (std::size_t i = 0; i < n_cache; ++i) {
-    if (!next(line)) return Error::truncated("checkpoint: missing cache key");
-    std::istringstream ls(line);
-    std::string hash, key;
-    std::uint64_t k = 0;
-    ls >> hash >> key >> std::hex >> k;
-    if (hash != "#" || key != "cachekey" || ls.fail()) {
-      return Error::parse("checkpoint: bad cache key line: " + line);
-    }
+  if (!r.enter(state_io::kCache)) return r.error();
+  const std::size_t n_cache = r.count();
+  cache_.reserve(n_cache);
+  for (std::size_t i = 0; i < n_cache && r.ok(); ++i) {
+    const std::uint64_t key = r.fixed64();
     fuzz::Evaluation eval;
-    if (Error e = fuzz::state_io::read_eval(is, eval)) return e;
-    cache_.emplace(k, std::move(eval));
+    if (state_io::read_eval(r, eval) &&
+        !cache_.emplace(key, std::move(eval)).second) {
+      r.fail(Error::corrupt("checkpoint: duplicate cache key"));
+    }
   }
-  if (!next(line) || line != "# end checkpoint") {
-    return Error::truncated("checkpoint: missing terminator");
-  }
+  if (!r.leave()) return r.error();
+  if (Error e = r.finish()) return e;
   // Rebuild the derived report state the run loop normally accumulates.
   for (auto& cp : cells_) {
     CellState& cell = *cp;

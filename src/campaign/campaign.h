@@ -22,6 +22,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "scenario/config.h"
 #include "scenario/presets.h"
 #include "trace/mutation.h"
+#include "util/record_io.h"
 
 namespace ccfuzz::campaign {
 
@@ -383,11 +385,18 @@ class JsonlObserver final : public CampaignObserver {
   int shard_ = -1;               ///< >= 0: tag every line with this shard
 };
 
+/// Identity of a checkpoint file: the util/record_io header of
+/// `<output_dir>/checkpoint/campaign.ckpt`.
+inline constexpr std::string_view kCheckpointMagic = "ccfzckpt";
+inline constexpr std::uint32_t kCheckpointVersion = 2;
+
 /// Structural health check of a checkpoint file, for `ccfuzz doctor`:
-/// verifies the magic/version header and the `# end checkpoint` terminator
+/// verifies the header, every section's checksum and the end marker
 /// without needing (or touching) a configured campaign. Typed errors mirror
 /// restore_checkpoint's: kIo (unreadable), kParse (bad magic), kVersion
-/// (unsupported version), kTruncated (missing terminator — a torn write).
+/// (unsupported version, including the text format of older releases),
+/// kTruncated (the file ends early — a torn write), kCorrupt (a checksum
+/// mismatch anywhere in the file).
 Error validate_checkpoint_file(const std::string& path);
 
 /// Builds the evaluator for one cell — the single place scenario wiring
@@ -438,7 +447,7 @@ class Campaign {
   void compute_winners(CellState& cell);
   void finish_cell(CellState& cell);
   void build_cells();
-  void write_checkpoint() const;
+  void write_checkpoint();
   Error restore_checkpoint(const std::string& path);
 
   std::vector<CellConfig> cell_cfgs_;
@@ -448,6 +457,8 @@ class Campaign {
   /// share entries. Persisted in checkpoints (the keys are process-stable),
   /// so resumed campaigns replay cache hits bit-identically.
   std::unordered_map<std::uint64_t, fuzz::Evaluation> cache_;
+  /// Reused by every checkpoint, so steady-state writes do not reallocate.
+  record_io::RecordWriter checkpoint_writer_;
   std::vector<CampaignObserver*> observers_;
   CampaignReport report_;
   std::string output_dir_;

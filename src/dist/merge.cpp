@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string_view>
@@ -17,14 +16,6 @@ namespace ccfuzz::dist {
 namespace {
 
 namespace fs = std::filesystem;
-
-Result<std::string> slurp(const fs::path& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Error::io("cannot open " + path.string());
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
 
 /// One shard's parsed summary pair: cells addressable by name, with the raw
 /// text preserved so reassembly is byte-exact.
@@ -163,10 +154,10 @@ Error parse_summary_json(const std::string& body, std::uint32_t shard,
 Error load_shard_summary(const std::string& root, std::uint32_t shard,
                          ShardSummary& out) {
   const fs::path dir(shard_dir(root, shard));
-  Result<std::string> csv = slurp(dir / "summary.csv");
+  Result<std::string> csv = read_file((dir / "summary.csv").string());
   if (!csv) return csv.error();
   if (Error e = parse_summary_csv(*csv, shard, out)) return e;
-  Result<std::string> json = slurp(dir / "summary.json");
+  Result<std::string> json = read_file((dir / "summary.json").string());
   if (!json) return json.error();
   return parse_summary_json(*json, shard, out);
 }

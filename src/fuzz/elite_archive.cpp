@@ -100,7 +100,7 @@ const EliteArchive::Cell& EliteArchive::sample(Rng& rng) const {
   return cells_[occupied_[pick]];
 }
 
-void EliteArchive::save(std::ostream& os, bool terminated) const {
+void EliteArchive::save(std::ostream& os) const {
   os << kMagic << "\n";
   os << "# cells " << occupied_.size() << "\n";
   os << "# union ";
@@ -123,7 +123,6 @@ void EliteArchive::save(std::ostream& os, bool terminated) const {
     trace::write_trace(os, c.genome);
     os << "# end entry\n";
   }
-  if (terminated) os << "# end archive\n";
   if (!os) throw std::runtime_error("archive write failed");
 }
 
@@ -197,15 +196,6 @@ Result<EliteArchive> EliteArchive::try_load(std::istream& is) {
       continue;
     }
     if (key == "end") {
-      std::string what;
-      ls >> what;
-      if (what == "archive") {
-        // Embedded-block terminator (checkpoints). Stops here, leaving the
-        // enclosing stream positioned after this line.
-        if (in_entry) return Error::truncated("archive: truncated entry");
-        a.union_bits_ = a.union_map_.count();
-        return a;
-      }
       if (!in_entry) return Error::corrupt("archive: stray end marker");
       if (Error e = finish_entry()) return e;
       in_entry = false;

@@ -92,19 +92,16 @@ class EliteArchive {
   const Cell& sample(Rng& rng) const;
 
   // ---- Persistence (archives survive across campaigns) ----
-  /// Writes the archive; elite genomes are embedded trace_io blocks. With
-  /// `terminated`, appends a `# end archive` line so the block can be
-  /// embedded inside a larger stream (checkpoints) — try_load stops there
-  /// instead of consuming to EOF. Standalone files omit it (and stay
-  /// byte-compatible with pre-terminator archives).
-  void save(std::ostream& os, bool terminated = false) const;
+  /// Writes the archive; elite genomes are embedded trace_io blocks.
+  /// Checkpoints embed these bytes whole as one opaque section.
+  void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
   /// Parses an archive written by save() without throwing. Restores genomes,
   /// scores, descriptors, coverage bitmaps and the union map; transport
   /// counters of the persisted evaluations read as zero. Error codes:
   /// kVersion for a recognized-but-unsupported format, kTruncated for a file
   /// cut off mid-entry (the crash artifact), kParse/kCorrupt for mangled
-  /// content. Reads to EOF or to a `# end archive` terminator.
+  /// content. Reads to EOF.
   static Result<EliteArchive> try_load(std::istream& is);
   static Result<EliteArchive> try_load_file(const std::string& path);
   /// Throwing wrappers (std::runtime_error on malformed input).

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iomanip>
-#include <istream>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -295,139 +292,68 @@ const std::vector<GenStats>& Fuzzer::run() {
   return history_;
 }
 
-void Fuzzer::save_state(std::ostream& os) const {
-  os << "# ccfuzz-fuzzer v1\n";
-  os << "# generation " << generation_ << "\n";
-  os << "# total_evaluations " << total_evaluations_ << "\n";
-  os << "# best " << (best_ever_.evaluated ? 1 : 0) << "\n";
-  if (best_ever_.evaluated) state_io::write_member(os, best_ever_);
-  os << "# history " << history_.size() << "\n";
-  for (const GenStats& gs : history_) state_io::write_genstats(os, gs);
-  os << "# islands " << islands_.size() << "\n";
-  for (std::size_t i = 0; i < islands_.size(); ++i) {
-    const Island& isl = islands_[i];
-    const auto s = isl.rng.state();
-    os << "# island " << i << " " << std::hex << s[0] << " " << s[1] << " "
-       << s[2] << " " << s[3] << std::dec << " " << isl.members.size() << "\n";
-    for (const Member& m : isl.members) state_io::write_member(os, m);
-    os << "# end island\n";
+void Fuzzer::save_state(record_io::RecordWriter& w) const {
+  w.begin_section(state_io::kFuzzer);
+  w.i64(generation_);
+  w.i64(total_evaluations_);
+  w.u64(best_ever_.evaluated ? 1 : 0);
+  if (best_ever_.evaluated) state_io::write_member(w, best_ever_);
+  w.u64(history_.size());
+  for (const GenStats& gs : history_) state_io::write_genstats(w, gs);
+  w.u64(islands_.size());
+  for (const Island& isl : islands_) {
+    for (const std::uint64_t word : isl.rng.state()) w.u64(word);
+    w.u64(isl.members.size());
+    for (const Member& m : isl.members) state_io::write_member(w, m);
   }
-  os << "# archive " << (archive_ ? 1 : 0) << "\n";
-  if (archive_) archive_->save(os, /*terminated=*/true);
-  os << "# end fuzzer\n";
+  w.u64(archive_ ? 1 : 0);
+  w.end_section();
+  if (archive_) {
+    std::ostringstream os;
+    archive_->save(os);
+    w.begin_section(state_io::kArchive);
+    w.bytes(os.str());
+    w.end_section();
+  }
 }
 
-Error Fuzzer::restore_state(std::istream& is) {
-  std::string line;
-  const auto next_line = [&]() -> bool {
-    while (std::getline(is, line)) {
-      if (!line.empty()) return true;
-    }
-    return false;
-  };
-  const auto expect = [&](const char* key,
-                          std::istringstream& ls) -> Error {
-    if (!next_line()) {
-      return Error::truncated(std::string("fuzzer state: missing '") + key +
-                              "'");
-    }
-    ls.str(line);
-    ls.clear();
-    std::string hash, k;
-    ls >> hash >> k;
-    if (hash != "#" || k != key) {
-      return Error::parse(std::string("fuzzer state: expected '# ") + key +
-                          "', got: " + line);
-    }
-    return Error::success();
-  };
-
-  if (!next_line()) return Error::truncated("fuzzer state: empty input");
-  if (line != "# ccfuzz-fuzzer v1") {
-    if (line.rfind("# ccfuzz-fuzzer", 0) == 0) {
-      return Error::version("fuzzer state: unsupported version: " + line);
-    }
-    return Error::parse("fuzzer state: missing magic header");
-  }
-
-  std::istringstream ls;
-  if (Error e = expect("generation", ls)) return e;
-  if (!(ls >> generation_)) {
-    return Error::parse("fuzzer state: bad generation line");
-  }
-  if (Error e = expect("total_evaluations", ls)) return e;
-  if (!(ls >> total_evaluations_)) {
-    return Error::parse("fuzzer state: bad total_evaluations line");
-  }
-  if (Error e = expect("best", ls)) return e;
-  int has_best = 0;
-  if (!(ls >> has_best)) return Error::parse("fuzzer state: bad best line");
-  if (has_best != 0) {
-    if (Error e = state_io::read_member(is, best_ever_)) return e;
-  } else {
-    best_ever_ = Member{};
-  }
-
-  if (Error e = expect("history", ls)) return e;
-  std::size_t n_hist = 0;
-  if (!(ls >> n_hist)) return Error::parse("fuzzer state: bad history line");
-  history_.clear();
-  history_.reserve(n_hist);
-  for (std::size_t i = 0; i < n_hist; ++i) {
-    if (!next_line()) return Error::truncated("fuzzer state: short history");
-    GenStats gs;
-    if (Error e = state_io::parse_genstats(line, gs)) return e;
-    history_.push_back(std::move(gs));
-  }
-
-  if (Error e = expect("islands", ls)) return e;
-  std::size_t n_islands = 0;
-  if (!(ls >> n_islands)) return Error::parse("fuzzer state: bad islands line");
-  if (n_islands != islands_.size()) {
+Error Fuzzer::restore_state(record_io::RecordReader& r) {
+  if (!r.enter(state_io::kFuzzer)) return r.error();
+  generation_ = static_cast<int>(r.i64());
+  total_evaluations_ = r.i64();
+  best_ever_ = Member{};
+  if (r.u64() != 0) state_io::read_member(r, best_ever_);
+  history_.resize(r.count());
+  for (GenStats& gs : history_) state_io::read_genstats(r, gs);
+  const std::size_t n_islands = r.count();
+  if (r.ok() && n_islands != islands_.size()) {
     return Error::mismatch("fuzzer state: island count mismatch (config has " +
                            std::to_string(islands_.size()) + ", state has " +
                            std::to_string(n_islands) + ")");
   }
-  for (std::size_t i = 0; i < n_islands; ++i) {
-    if (Error e = expect("island", ls)) return e;
-    std::size_t idx = 0, n_members = 0;
-    std::array<std::uint64_t, 4> s{};
-    if (!(ls >> idx >> std::hex >> s[0] >> s[1] >> s[2] >> s[3] >> std::dec >>
-          n_members) ||
-        idx != i) {
-      return Error::parse("fuzzer state: bad island header: " + line);
-    }
+  for (std::size_t i = 0; i < n_islands && r.ok(); ++i) {
     Island& isl = islands_[i];
+    std::array<std::uint64_t, 4> s{};
+    for (std::uint64_t& word : s) word = r.u64();
     isl.rng.set_state(s);
-    isl.members.clear();
-    isl.members.reserve(n_members);
-    for (std::size_t m = 0; m < n_members; ++m) {
-      Member mem;
-      if (Error e = state_io::read_member(is, mem)) return e;
-      isl.members.push_back(std::move(mem));
-    }
-    if (!next_line() || line != "# end island") {
-      return Error::truncated("fuzzer state: island block not terminated");
+    isl.members.resize(r.count());
+    for (Member& m : isl.members) {
+      if (!state_io::read_member(r, m)) break;
     }
   }
-
-  if (Error e = expect("archive", ls)) return e;
-  int has_archive = 0;
-  if (!(ls >> has_archive)) {
-    return Error::parse("fuzzer state: bad archive line");
-  }
-  if ((has_archive != 0) != (archive_ != nullptr)) {
+  const bool has_archive = r.u64() != 0;
+  if (!r.leave()) return r.error();
+  if (has_archive != (archive_ != nullptr)) {
     return Error::mismatch(
         "fuzzer state: archive presence mismatch (coverage setting changed?)");
   }
-  if (has_archive != 0) {
-    Result<EliteArchive> a = EliteArchive::try_load(is);
-    if (!a) return a.error();
-    *archive_ = std::move(*a);
-  }
-  if (!next_line() || line != "# end fuzzer") {
-    return Error::truncated("fuzzer state: block not terminated");
-  }
+  if (!has_archive) return Error::success();
+  if (!r.enter(state_io::kArchive)) return r.error();
+  std::istringstream is{std::string(r.bytes())};
+  if (!r.leave()) return r.error();
+  Result<EliteArchive> a = EliteArchive::try_load(is);
+  if (!a) return a.error();
+  *archive_ = std::move(*a);
   return Error::success();
 }
 

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <optional>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "fuzz/trace_model.h"
 #include "trace/annealing.h"
 #include "trace/trace.h"
+#include "util/record_io.h"
 #include "util/rng.h"
 
 namespace ccfuzz::fuzz {
@@ -171,18 +171,19 @@ class Fuzzer {
   static constexpr std::size_t kTopK = 20;
 
   // --- Checkpointing --------------------------------------------------------
-  /// Writes the full GA runtime state — island populations with their RNG
-  /// streams, generation counter, history, best-ever member, and the elite
-  /// archive (embedded, terminated) — as a `# ccfuzz-fuzzer v1` block.
+  /// Appends the full GA runtime state — island populations with their RNG
+  /// streams, generation counter, history, best-ever member — as one
+  /// state_io::kFuzzer section, followed by a state_io::kArchive section
+  /// holding EliteArchive::save's bytes when this fuzzer tracks an archive.
   /// restore_state on an identically-configured Fuzzer continues the search
   /// bit-identically to one that never stopped.
-  void save_state(std::ostream& os) const;
+  void save_state(record_io::RecordWriter& w) const;
 
-  /// Restores state written by save_state into this (identically
+  /// Restores the sections written by save_state into this (identically
   /// configured) fuzzer. On error the fuzzer is left unusable for resume —
-  /// callers must fall back to a fresh instance. kMismatch when the stream
+  /// callers must fall back to a fresh instance. kMismatch when the state
   /// disagrees with this fuzzer's shape (island count, archive presence).
-  Error restore_state(std::istream& is);
+  Error restore_state(record_io::RecordReader& r);
 
  private:
   struct Island {

@@ -1,212 +1,190 @@
 #include "fuzz/state_io.h"
 
-#include <iomanip>
-#include <ostream>
-#include <sstream>
-
 #include "coverage/probe.h"
-#include "trace/trace_io.h"
 
 namespace ccfuzz::fuzz::state_io {
 namespace {
 
-void write_hex_words(std::ostream& os, const coverage::CoverageBitmap& map) {
-  os << std::hex;
-  for (std::size_t i = 0; i < coverage::CoverageBitmap::kWords; ++i) {
-    os << (i == 0 ? "" : " ") << map.words[i];
-  }
-  os << std::dec;
+using record_io::RecordReader;
+using record_io::RecordWriter;
+
+// Evaluation flag bits.
+constexpr std::uint64_t kStalled = 1;
+constexpr std::uint64_t kTruncated = 2;
+constexpr std::uint64_t kQuarantined = 4;
+constexpr std::uint64_t kCoverage = 8;
+constexpr std::uint64_t kAllFlags = 15;
+
+std::uint64_t pack(const coverage::BehaviorDescriptor& d) {
+  return std::uint64_t{d.state_transitions} | std::uint64_t{d.rtt_spread} << 8 |
+         std::uint64_t{d.max_backoff} << 16 | std::uint64_t{d.cwnd_span} << 24 |
+         std::uint64_t{d.event_mask} << 32 | std::uint64_t{d.cca_states} << 40;
 }
 
-bool read_hex_words(std::istringstream& is, coverage::CoverageBitmap& map) {
-  is >> std::hex;
-  for (auto& w : map.words) {
-    if (!(is >> w)) return false;
-  }
-  return true;
+void unpack(std::uint64_t v, coverage::BehaviorDescriptor& d) {
+  const auto byte = [v](int i) { return static_cast<std::uint8_t>(v >> 8 * i); };
+  d.state_transitions = byte(0);
+  d.rtt_spread = byte(1);
+  d.max_backoff = byte(2);
+  d.cwnd_span = byte(3);
+  d.event_mask = byte(4);
+  d.cca_states = byte(5);
 }
 
-/// Reads the next non-empty line; false at EOF.
-bool next_line(std::istream& is, std::string& line) {
-  while (std::getline(is, line)) {
-    if (!line.empty()) return true;
-  }
-  return false;
+void write_doubles(RecordWriter& w, const std::vector<double>& v) {
+  w.u64(v.size());
+  for (const double x : v) w.f64(x);
+}
+
+void read_doubles(RecordReader& r, std::vector<double>& v) {
+  v.resize(r.count());
+  for (double& x : v) x = r.f64();
 }
 
 }  // namespace
 
-void write_eval(std::ostream& os, const Evaluation& e) {
-  os << std::setprecision(17);
-  os << "# eval " << e.score.performance << " " << e.score.trace << " "
-     << e.goodput_mbps << " " << e.cca_sent << " " << e.cca_delivered << " "
-     << e.cca_drops << " " << e.cross_sent << " " << e.cross_drops << " "
-     << e.rto_count << " " << e.p10_delay_s << " " << (e.stalled ? 1 : 0)
-     << " " << (e.truncated ? 1 : 0) << " " << static_cast<int>(e.truncation)
-     << " " << (e.quarantined ? 1 : 0) << " " << e.jain_fairness << " "
-     << e.flow_goodput_mbps.size();
-  for (const double g : e.flow_goodput_mbps) os << " " << g;
-  os << "\n";
+void write_eval(RecordWriter& w, const Evaluation& e) {
+  w.f64(e.score.performance);
+  w.f64(e.score.trace);
+  w.f64(e.goodput_mbps);
+  w.i64(e.cca_sent);
+  w.i64(e.cca_delivered);
+  w.i64(e.cca_drops);
+  w.i64(e.cross_sent);
+  w.i64(e.cross_drops);
+  w.i64(e.rto_count);
+  w.f64(e.p10_delay_s);
+  w.f64(e.jain_fairness);
+  write_doubles(w, e.flow_goodput_mbps);
   const auto& c = e.coverage;
-  os << "# cov " << (c.valid ? 1 : 0) << " " << c.bits << " "
-     << +c.descriptor.state_transitions << " " << +c.descriptor.rtt_spread
-     << " " << +c.descriptor.max_backoff << " " << +c.descriptor.cwnd_span
-     << " " << +c.descriptor.event_mask << " " << +c.descriptor.cca_states
-     << "\n";
-  os << "# covmap ";
-  write_hex_words(os, c.bitmap);
-  os << "\n";
+  w.u64((e.stalled ? kStalled : 0) | (e.truncated ? kTruncated : 0) |
+        (e.quarantined ? kQuarantined : 0) | (c.valid ? kCoverage : 0));
+  w.u64(static_cast<std::uint64_t>(e.truncation));
+  if (!c.valid) return;
+  w.u64(c.bits);
+  w.u64(pack(c.descriptor));
+  for (const std::uint64_t word : c.bitmap.words) w.fixed64(word);
 }
 
-Error read_eval(std::istream& is, Evaluation& e) {
-  std::string line;
-  if (!next_line(is, line)) return Error::truncated("state: missing eval line");
-  {
-    std::istringstream ls(line);
-    std::string hash, key;
-    ls >> hash >> key;
-    if (hash != "#" || key != "eval") {
-      return Error::parse("state: expected '# eval', got: " + line);
-    }
-    int stalled = 0, truncated = 0, truncation = 0, quarantined = 0;
-    std::size_t nflows = 0;
-    if (!(ls >> e.score.performance >> e.score.trace >> e.goodput_mbps >>
-          e.cca_sent >> e.cca_delivered >> e.cca_drops >> e.cross_sent >>
-          e.cross_drops >> e.rto_count >> e.p10_delay_s >> stalled >>
-          truncated >> truncation >> quarantined >> e.jain_fairness >>
-          nflows)) {
-      return Error::parse("state: bad eval line: " + line);
-    }
-    e.stalled = stalled != 0;
-    e.truncated = truncated != 0;
-    e.truncation = static_cast<sim::TruncationReason>(truncation);
-    e.quarantined = quarantined != 0;
-    e.flow_goodput_mbps.clear();
-    e.flow_goodput_mbps.reserve(nflows);
-    for (std::size_t i = 0; i < nflows; ++i) {
-      double g = 0.0;
-      if (!(ls >> g)) return Error::parse("state: short eval line: " + line);
-      e.flow_goodput_mbps.push_back(g);
-    }
+bool read_eval(RecordReader& r, Evaluation& e) {
+  e.score.performance = r.f64();
+  e.score.trace = r.f64();
+  e.goodput_mbps = r.f64();
+  e.cca_sent = r.i64();
+  e.cca_delivered = r.i64();
+  e.cca_drops = r.i64();
+  e.cross_sent = r.i64();
+  e.cross_drops = r.i64();
+  e.rto_count = r.i64();
+  e.p10_delay_s = r.f64();
+  e.jain_fairness = r.f64();
+  read_doubles(r, e.flow_goodput_mbps);
+  const std::uint64_t flags = r.u64();
+  const std::uint64_t truncation = r.u64();
+  if (flags > kAllFlags ||
+      truncation > static_cast<std::uint64_t>(
+                       sim::TruncationReason::kWallDeadline)) {
+    r.fail(Error::corrupt("state: bad evaluation flags"));
+    return false;
   }
-  if (!next_line(is, line)) return Error::truncated("state: missing cov line");
-  {
-    std::istringstream ls(line);
-    std::string hash, key;
-    ls >> hash >> key;
-    if (hash != "#" || key != "cov") {
-      return Error::parse("state: expected '# cov', got: " + line);
-    }
-    int valid = 0;
-    unsigned v[6];
-    if (!(ls >> valid >> e.coverage.bits >> v[0] >> v[1] >> v[2] >> v[3] >>
-          v[4] >> v[5])) {
-      return Error::parse("state: bad cov line: " + line);
-    }
-    e.coverage.valid = valid != 0;
-    auto& d = e.coverage.descriptor;
-    d.state_transitions = static_cast<std::uint8_t>(v[0]);
-    d.rtt_spread = static_cast<std::uint8_t>(v[1]);
-    d.max_backoff = static_cast<std::uint8_t>(v[2]);
-    d.cwnd_span = static_cast<std::uint8_t>(v[3]);
-    d.event_mask = static_cast<std::uint8_t>(v[4]);
-    d.cca_states = static_cast<std::uint8_t>(v[5]);
+  e.stalled = (flags & kStalled) != 0;
+  e.truncated = (flags & kTruncated) != 0;
+  e.quarantined = (flags & kQuarantined) != 0;
+  e.truncation = static_cast<sim::TruncationReason>(truncation);
+  auto& c = e.coverage;
+  c = coverage::CoverageSignature{};
+  if ((flags & kCoverage) == 0) return r.ok();
+  c.valid = true;
+  const std::uint64_t bits = r.u64();
+  const std::uint64_t desc = r.u64();
+  if (bits > coverage::CoverageBitmap::kBits || desc >> 48 != 0) {
+    r.fail(Error::corrupt("state: bad coverage summary"));
+    return false;
   }
-  if (!next_line(is, line)) {
-    return Error::truncated("state: missing covmap line");
-  }
-  {
-    std::istringstream ls(line);
-    std::string hash, key;
-    ls >> hash >> key;
-    if (hash != "#" || key != "covmap") {
-      return Error::parse("state: expected '# covmap', got: " + line);
-    }
-    if (!read_hex_words(ls, e.coverage.bitmap)) {
-      return Error::parse("state: bad covmap line: " + line);
-    }
-  }
-  return Error::success();
+  c.bits = static_cast<std::uint32_t>(bits);
+  unpack(desc, c.descriptor);
+  for (std::uint64_t& word : c.bitmap.words) word = r.fixed64();
+  return r.ok();
 }
 
-void write_member(std::ostream& os, const Member& m) {
-  os << std::setprecision(17);
-  os << "# member " << (m.evaluated ? 1 : 0) << " " << m.novelty << "\n";
-  write_eval(os, m.eval);
-  trace::write_trace(os, m.genome);
-  os << "# end member\n";
+void write_genome(RecordWriter& w, const trace::Trace& t) {
+  w.u64(static_cast<std::uint64_t>(t.kind));
+  w.i64(t.duration.ns());
+  w.u64(t.stamps.size());
+  std::uint64_t prev = 0;
+  for (const TimeNs s : t.stamps) {
+    const auto ns = static_cast<std::uint64_t>(s.ns());
+    w.u64(ns - prev);
+    prev = ns;
+  }
 }
 
-Error read_member(std::istream& is, Member& m) {
-  std::string line;
-  if (!next_line(is, line)) {
-    return Error::truncated("state: missing member header");
+bool read_genome(RecordReader& r, trace::Trace& t) {
+  const std::uint64_t kind = r.u64();
+  if (kind > static_cast<std::uint64_t>(trace::TraceKind::kTraffic)) {
+    r.fail(Error::corrupt("state: unknown genome kind"));
+    return false;
   }
-  {
-    std::istringstream ls(line);
-    std::string hash, key;
-    ls >> hash >> key;
-    int evaluated = 0;
-    if (hash != "#" || key != "member" || !(ls >> evaluated >> m.novelty)) {
-      return Error::parse("state: bad member header: " + line);
-    }
-    m.evaluated = evaluated != 0;
+  t.kind = static_cast<trace::TraceKind>(kind);
+  t.duration = TimeNs(r.i64());
+  t.stamps.resize(r.count());
+  std::uint64_t prev = 0;
+  for (TimeNs& s : t.stamps) {
+    prev += r.u64();
+    s = TimeNs(static_cast<std::int64_t>(prev));
   }
-  if (Error e = read_eval(is, m.eval)) return e;
-  // Genome: buffer lines until the `# end member` sentinel, then hand the
-  // block to the trace parser.
-  std::ostringstream trace_buf;
-  bool ended = false;
-  while (std::getline(is, line)) {
-    if (line == "# end member") {
-      ended = true;
-      break;
-    }
-    trace_buf << line << "\n";
+  if (r.ok() && !t.well_formed()) {
+    r.fail(Error::corrupt("state: genome stamps not sorted within [0, duration)"));
   }
-  if (!ended) return Error::truncated("state: member block not terminated");
-  std::istringstream ts(trace_buf.str());
-  Result<trace::Trace> genome = trace::try_read_trace(ts);
-  if (!genome) return genome.error();
-  m.genome = std::move(*genome);
-  return Error::success();
+  return r.ok();
 }
 
-void write_genstats(std::ostream& os, const GenStats& gs) {
-  os << std::setprecision(17);
-  os << "# gen " << gs.generation << " " << gs.best_score << " "
-     << gs.mean_score << " " << gs.topk_mean_packets_sent << " "
-     << gs.topk_mean_goodput_mbps << " " << gs.topk_mean_jain_fairness << " "
-     << gs.stalled_count << " " << gs.evaluations << " " << gs.archive_cells
-     << " " << gs.archive_new_cells << " " << gs.archive_improved << " "
-     << gs.coverage_bits << " " << gs.topk_mean_flow_goodput_mbps.size();
-  for (const double g : gs.topk_mean_flow_goodput_mbps) os << " " << g;
-  os << "\n";
+void write_member(RecordWriter& w, const Member& m) {
+  w.u64(m.evaluated ? 1 : 0);
+  w.f64(m.novelty);
+  write_eval(w, m.eval);
+  write_genome(w, m.genome);
 }
 
-Error parse_genstats(const std::string& line, GenStats& gs) {
-  std::istringstream ls(line);
-  std::string hash, key;
-  ls >> hash >> key;
-  if (hash != "#" || key != "gen") {
-    return Error::parse("state: expected '# gen', got: " + line);
-  }
-  std::size_t nflows = 0;
-  if (!(ls >> gs.generation >> gs.best_score >> gs.mean_score >>
-        gs.topk_mean_packets_sent >> gs.topk_mean_goodput_mbps >>
-        gs.topk_mean_jain_fairness >> gs.stalled_count >> gs.evaluations >>
-        gs.archive_cells >> gs.archive_new_cells >> gs.archive_improved >>
-        gs.coverage_bits >> nflows)) {
-    return Error::parse("state: bad gen line: " + line);
-  }
-  gs.topk_mean_flow_goodput_mbps.clear();
-  gs.topk_mean_flow_goodput_mbps.reserve(nflows);
-  for (std::size_t i = 0; i < nflows; ++i) {
-    double g = 0.0;
-    if (!(ls >> g)) return Error::parse("state: short gen line: " + line);
-    gs.topk_mean_flow_goodput_mbps.push_back(g);
-  }
-  return Error::success();
+bool read_member(RecordReader& r, Member& m) {
+  const std::uint64_t evaluated = r.u64();
+  if (evaluated > 1) r.fail(Error::corrupt("state: bad member flag"));
+  m.evaluated = evaluated != 0;
+  m.novelty = r.f64();
+  return read_eval(r, m.eval) && read_genome(r, m.genome);
+}
+
+void write_genstats(RecordWriter& w, const GenStats& gs) {
+  w.i64(gs.generation);
+  w.f64(gs.best_score);
+  w.f64(gs.mean_score);
+  w.f64(gs.topk_mean_packets_sent);
+  w.f64(gs.topk_mean_goodput_mbps);
+  w.f64(gs.topk_mean_jain_fairness);
+  write_doubles(w, gs.topk_mean_flow_goodput_mbps);
+  w.i64(gs.stalled_count);
+  w.i64(gs.evaluations);
+  w.i64(gs.archive_cells);
+  w.i64(gs.archive_new_cells);
+  w.i64(gs.archive_improved);
+  w.i64(gs.coverage_bits);
+}
+
+bool read_genstats(RecordReader& r, GenStats& gs) {
+  gs.generation = static_cast<int>(r.i64());
+  gs.best_score = r.f64();
+  gs.mean_score = r.f64();
+  gs.topk_mean_packets_sent = r.f64();
+  gs.topk_mean_goodput_mbps = r.f64();
+  gs.topk_mean_jain_fairness = r.f64();
+  read_doubles(r, gs.topk_mean_flow_goodput_mbps);
+  gs.stalled_count = static_cast<int>(r.i64());
+  gs.evaluations = r.i64();
+  gs.archive_cells = r.i64();
+  gs.archive_new_cells = r.i64();
+  gs.archive_improved = r.i64();
+  gs.coverage_bits = r.i64();
+  return r.ok();
 }
 
 }  // namespace ccfuzz::fuzz::state_io

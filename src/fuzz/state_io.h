@@ -1,38 +1,45 @@
-// Serialization helpers for GA runtime state (campaign checkpoints).
+// Binary codecs for GA runtime state (campaign checkpoints).
 //
-// Everything is line-oriented '#'-keyed text in the same family as trace_io
-// and the elite-archive format, so checkpoint files stay greppable and the
-// parsers share the same hardening discipline (typed Errors, no exceptions
-// on the load path). Doubles are written with 17 significant digits, which
-// round-trips IEEE-754 exactly — resumed campaigns must be bit-identical.
+// Members, evaluations and GenStats are encoded with the util/record_io
+// payload primitives: doubles as raw IEEE-754 bits (resumed campaigns must
+// be bit-identical), counts as varints, genomes as kind, duration and
+// count followed by delta-varint stamps, and coverage bitmaps only when the
+// evaluation carries valid coverage. Readers keep their first failure in
+// the RecordReader and return RecordReader::ok(); a decoded genome that
+// breaks the Trace contract (well_formed()) is kCorrupt.
 #pragma once
 
-#include <iosfwd>
-#include <string>
+#include <cstdint>
 
 #include "fuzz/fuzzer.h"
-#include "util/error.h"
+#include "util/record_io.h"
 
 namespace ccfuzz::fuzz::state_io {
 
-/// Writes an Evaluation as three '#'-keyed lines (`# eval`, `# cov`,
-/// `# covmap`).
-void write_eval(std::ostream& os, const Evaluation& e);
+/// Section tags of a campaign checkpoint, in file order: one kCampaign
+/// header, then per cell a kCell, a kFuzzer and (when the fuzzer tracks
+/// one) a kArchive section, then one kCache section.
+enum Section : std::uint32_t {
+  kCampaign = 1,
+  kCell = 2,
+  kFuzzer = 3,
+  kArchive = 4,
+  kCache = 5,
+};
 
-/// Reads the three lines written by write_eval.
-Error read_eval(std::istream& is, Evaluation& e);
+void write_eval(record_io::RecordWriter& w, const Evaluation& e);
+bool read_eval(record_io::RecordReader& r, Evaluation& e);
 
-/// Writes a population member: `# member <evaluated> <novelty>`, the
-/// evaluation, the genome as an embedded trace_io block, `# end member`.
-void write_member(std::ostream& os, const Member& m);
+/// Kind, duration, stamp count, then each stamp as the unsigned (mod 2^64)
+/// difference from its predecessor — one or two bytes per stamp for the
+/// sorted genomes the GA breeds, and still exact for any other sequence.
+void write_genome(record_io::RecordWriter& w, const trace::Trace& t);
+bool read_genome(record_io::RecordReader& r, trace::Trace& t);
 
-/// Reads a member block (expects `# member` as the next non-empty line).
-Error read_member(std::istream& is, Member& m);
+void write_member(record_io::RecordWriter& w, const Member& m);
+bool read_member(record_io::RecordReader& r, Member& m);
 
-/// Writes one GenStats as a single `# gen` line.
-void write_genstats(std::ostream& os, const GenStats& gs);
-
-/// Parses a `# gen` line produced by write_genstats.
-Error parse_genstats(const std::string& line, GenStats& gs);
+void write_genstats(record_io::RecordWriter& w, const GenStats& gs);
+bool read_genstats(record_io::RecordReader& r, GenStats& gs);
 
 }  // namespace ccfuzz::fuzz::state_io

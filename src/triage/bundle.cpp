@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string_view>
@@ -220,12 +219,9 @@ Result<BundleManifest> parse_manifest(const std::string& body) {
 }
 
 Result<BundleManifest> load_manifest(const std::string& dir) {
-  const std::string path = dir + "/" + kManifestFile;
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Error::io("cannot open " + path);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return parse_manifest(ss.str());
+  Result<std::string> body = read_file(dir + "/" + kManifestFile);
+  if (!body) return body.error();
+  return parse_manifest(*body);
 }
 
 Error save_bundle(const std::string& dir, const BundleManifest& m,

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 
 #include "faultinject/fault_plan.h"
 
@@ -22,7 +23,7 @@ Error write_errno_error(const std::string& what, int err) {
 /// Writes `body` into `tmp` (created/truncated), fsyncs when asked, closes.
 /// On failure the tmp file is left behind exactly as a real crash would
 /// leave it — callers only ever publish via rename, so a torn tmp is inert.
-Error write_tmp_file(const std::string& tmp, const std::string& body,
+Error write_tmp_file(const std::string& tmp, std::string_view body,
                      bool sync) {
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
@@ -84,14 +85,14 @@ Error rename_into_place(const std::string& tmp, const std::string& path) {
 
 }  // namespace
 
-Error write_file_atomic(const std::string& path, const std::string& body,
+Error write_file_atomic(const std::string& path, std::string_view body,
                         bool sync) {
   const std::string tmp = path + ".tmp";
   if (Error e = write_tmp_file(tmp, body, sync)) return e;
   return rename_into_place(tmp, path);
 }
 
-Error write_file_rotating(const std::string& path, const std::string& body,
+Error write_file_rotating(const std::string& path, std::string_view body,
                           bool sync) {
   const std::string tmp = path + ".tmp";
   if (Error e = write_tmp_file(tmp, body, sync)) return e;
@@ -105,6 +106,18 @@ Error write_file_rotating(const std::string& path, const std::string& body,
     // the one whose failure semantics matter (head intact, typed error).
   }
   return rename_into_place(tmp, path);
+}
+
+Result<std::string> read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = is ? static_cast<std::streamoff>(is.tellg()) : -1;
+  if (size < 0) return Error::io("cannot open " + path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  is.seekg(0);
+  if (!is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
+    return Error::io("cannot read " + path);
+  }
+  return bytes;
 }
 
 Result<std::uint64_t> free_bytes(const std::string& path) {

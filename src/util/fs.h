@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/error.h"
 
@@ -25,7 +26,7 @@ namespace ccfuzz {
 /// Writes `body` to `path` via write-to-temp + fsync + rename. The parent
 /// directory must exist. `sync` skips the fsync (tests, throwaway files).
 /// ENOSPC surfaces as Error::Code::kNoSpace, other failures as kIo.
-Error write_file_atomic(const std::string& path, const std::string& body,
+Error write_file_atomic(const std::string& path, std::string_view body,
                         bool sync = true);
 
 /// write_file_atomic, preserving the file being replaced as `<path>.prev`.
@@ -34,8 +35,11 @@ Error write_file_atomic(const std::string& path, const std::string& body,
 /// head, or the old head demoted to `.prev`. A failure demoting the old
 /// head is tolerated (the new head still lands); a failure landing the new
 /// head is returned typed with the old head still in place.
-Error write_file_rotating(const std::string& path, const std::string& body,
+Error write_file_rotating(const std::string& path, std::string_view body,
                           bool sync = true);
+
+/// Reads the whole file at `path`; kIo when it cannot be opened or read.
+Result<std::string> read_file(const std::string& path);
 
 /// Free bytes available to unprivileged writers on the filesystem holding
 /// `path` (statvfs f_bavail). Typed kIo error when the path cannot be

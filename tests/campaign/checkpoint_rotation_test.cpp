@@ -5,12 +5,17 @@
 #include "campaign/campaign.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+
+#include "fuzz/state_io.h"
+#include "util/record_io.h"
 
 namespace ccfuzz::campaign {
 namespace {
@@ -49,9 +54,35 @@ std::string slurp(const fs::path& p) {
   return ss.str();
 }
 
+void spit(const fs::path& p, std::string_view bytes) {
+  std::ofstream(p, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Flips one byte in the middle of `p`: bit rot that leaves the file's
+/// length, header and end marker intact, so only a checksum can see it.
 void corrupt(const fs::path& p) {
-  std::ofstream os(p, std::ios::binary | std::ios::trunc);
-  os << "# ccfuzz-checkpoint v1\ngarbage where cells should be\n";
+  std::string bytes = slurp(p);
+  ASSERT_GT(bytes.size(), 64u);
+  bytes[bytes.size() / 2] ^= 0x5A;
+  spit(p, bytes);
+}
+
+/// A head in the line-oriented text format older releases wrote.
+void write_text_checkpoint(const fs::path& p) {
+  spit(p, "# ccfuzz-checkpoint v1\n# cells 0\n# cache 0\n# end checkpoint\n");
+}
+
+/// The smallest well-formed checkpoint: no cells, an empty cache.
+std::string empty_checkpoint(std::uint32_t version = kCheckpointVersion) {
+  record_io::RecordWriter w;
+  w.begin(kCheckpointMagic, version);
+  w.begin_section(fuzz::state_io::kCampaign);
+  w.u64(0);
+  w.end_section();
+  w.begin_section(fuzz::state_io::kCache);
+  w.u64(0);
+  w.end_section();
+  return std::string(w.finish());
 }
 
 /// Raises the campaign stop flag after `n` generation events.
@@ -150,20 +181,81 @@ TEST_F(CheckpointRotationTest, ValidateReportsTypedFailureModes) {
 
   EXPECT_EQ(validate_checkpoint_file(path).code, Error::Code::kIo);  // missing
 
-  std::ofstream(path, std::ios::binary) << "not a checkpoint\n";
+  spit(path, "not a checkpoint\n");
   EXPECT_EQ(validate_checkpoint_file(path).code, Error::Code::kParse);
 
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      << "# ccfuzz-checkpoint v9\n# end checkpoint\n";
+  spit(path, empty_checkpoint(kCheckpointVersion + 7));
   EXPECT_EQ(validate_checkpoint_file(path).code, Error::Code::kVersion);
 
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      << "# ccfuzz-checkpoint v1\n# cells 2\ntorn mid-wr";
+  const std::string good = empty_checkpoint();
+  spit(path, good.substr(0, good.size() - 5));  // torn mid-write
   EXPECT_EQ(validate_checkpoint_file(path).code, Error::Code::kTruncated);
 
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      << "# ccfuzz-checkpoint v1\n# cells 0\n# cache 0\n# end checkpoint\n";
+  std::string flipped = good;
+  flipped[good.size() / 2] ^= 0x01;
+  spit(path, flipped);
+  EXPECT_EQ(validate_checkpoint_file(path).code, Error::Code::kCorrupt);
+
+  spit(path, good + "x");  // bytes after the end marker
+  EXPECT_EQ(validate_checkpoint_file(path).code, Error::Code::kCorrupt);
+
+  spit(path, good);
   EXPECT_FALSE(validate_checkpoint_file(path));
+}
+
+TEST_F(CheckpointRotationTest, MidFileCorruptionIsCaughtByValidate) {
+  // The per-section checksums see a flipped byte anywhere in the file, not
+  // just a damaged header or a missing end marker.
+  const std::string dir = (base_ / "out").string();
+  Campaign c(tiny_campaign(dir));
+  ASSERT_FALSE(c.run().interrupted);
+  corrupt(head(dir));
+  EXPECT_EQ(validate_checkpoint_file(head(dir)).code, Error::Code::kCorrupt);
+  EXPECT_FALSE(validate_checkpoint_file(head(dir) + ".prev"));
+}
+
+TEST_F(CheckpointRotationTest, DoctorReportsACorruptHeadAndAHealthyPrev) {
+  const std::string cli = CCFUZZ_TOOLS_DIR "/ccfuzz";
+  if (!fs::exists(cli)) GTEST_SKIP() << "ccfuzz CLI not built at " << cli;
+  const std::string dir = (base_ / "out").string();
+  Campaign c(tiny_campaign(dir));
+  ASSERT_FALSE(c.run().interrupted);
+  corrupt(head(dir));
+
+  std::FILE* p = ::popen((cli + " doctor --output " + dir).c_str(), "r");
+  ASSERT_NE(p, nullptr);
+  std::string out;
+  char buf[512];
+  while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
+  const int status = ::pclose(p);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << out;
+  EXPECT_NE(out.find("WARN  checkpoint " + head(dir) + " is unusable ("),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("resume will degrade to the .prev snapshot"),
+            std::string::npos)
+      << out;
+}
+
+TEST_F(CheckpointRotationTest, TextFormatHeadIsRefusedAndPrevTakesOver) {
+  // Checkpoints are transient: a head in the text format of older releases
+  // is refused with kVersion, and resume falls back to .prev with the usual
+  // warning.
+  const std::string ref_dir = (base_ / "ref").string();
+  const std::string dir = (base_ / "out").string();
+  run_reference_and_interrupted(ref_dir, dir);
+  write_text_checkpoint(head(dir));
+  EXPECT_EQ(validate_checkpoint_file(head(dir)).code, Error::Code::kVersion);
+
+  ::testing::internal::CaptureStderr();
+  resume_and_expect_reference(dir, ref_dir, /*expect_resumed=*/true);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("checkpoint " + head(dir) + " unusable (version: "),
+            std::string::npos)
+      << log;
+  EXPECT_NE(log.find("falling back to the previous snapshot"),
+            std::string::npos)
+      << log;
 }
 
 }  // namespace

@@ -148,6 +148,25 @@ TEST_F(CheckpointTest, ResumingAFinishedCampaignRewritesTheSameReport) {
   EXPECT_EQ(slurp(fs::path(dir) / "summary.json"), summary);
 }
 
+TEST_F(CheckpointTest, ResumingAFinishedCampaignRewritesIdenticalCheckpointBytes) {
+  // The no-op final rewrite encodes the same state, so it must produce the
+  // same bytes: the cache section is written in key order, not in hash-map
+  // order.
+  const std::string dir = (base_ / "out").string();
+  const fs::path head = fs::path(dir) / "checkpoint" / "campaign.ckpt";
+  Campaign first(tiny_campaign(dir));
+  first.run();
+  const std::string before = slurp(head);
+  ASSERT_FALSE(before.empty());
+
+  CampaignConfig cfg = tiny_campaign(dir);
+  cfg.resume_dir(dir);
+  Campaign again(cfg);
+  ASSERT_TRUE(again.resumed());
+  again.run();
+  EXPECT_EQ(slurp(head), before);
+}
+
 TEST_F(CheckpointTest, CorruptCheckpointDegradesToFreshStart) {
   const std::string dir = (base_ / "out").string();
   fs::create_directories(fs::path(dir) / "checkpoint");
