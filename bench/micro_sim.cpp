@@ -8,6 +8,7 @@
 #include "scenario/runner.h"
 #include "sim/simulator.h"
 #include "trace/dist_packets.h"
+#include "util/rng.h"
 #include "util/windowed_filter.h"
 
 using namespace ccfuzz;
@@ -115,6 +116,43 @@ void BM_DumbbellBbrSimulatedSecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DumbbellBbrSimulatedSecond);
+
+/// Runs one 5 s Reno dumbbell on `trace` (cross-traffic schedule in traffic
+/// mode, service curve in link mode) on a warm context, exporting the
+/// simulator events each run executes.
+void run_trace_driven_dumbbell(benchmark::State& state, scenario::FuzzMode mode,
+                               std::int64_t stamps, std::uint64_t seed) {
+  scenario::ScenarioConfig cfg;
+  cfg.duration = TimeNs::seconds(5);
+  cfg.mode = mode;
+  Rng rng(seed);
+  const auto trace =
+      trace::dist_packets(stamps, TimeNs::zero(), cfg.duration, rng);
+  const auto factory = cca::make_factory("reno");
+  scenario::RunContext ctx;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const auto& run = ctx.run(cfg, factory, trace);
+    events = run.events;
+    benchmark::DoNotOptimize(run.cca_segments_delivered());
+  }
+  state.counters["events_per_run"] = static_cast<double>(events);
+}
+
+void BM_DumbbellTrafficTrace5s(benchmark::State& state) {
+  // Traffic mode on a 5 s dist_packets cross-traffic trace: the injector
+  // chain feeding a fixed-rate bottleneck (the empty-trace benches above
+  // never inject).
+  run_trace_driven_dumbbell(state, scenario::FuzzMode::kTraffic, 2'500, 7);
+}
+BENCHMARK(BM_DumbbellTrafficTrace5s);
+
+void BM_DumbbellLinkTrace5s(benchmark::State& state) {
+  // Link mode on a 5,000-opportunity service trace: the trace-driven
+  // link's opportunity chain, most of whose stamps find an idle queue.
+  run_trace_driven_dumbbell(state, scenario::FuzzMode::kLink, 5'000, 42);
+}
+BENCHMARK(BM_DumbbellLinkTrace5s);
 
 void BM_Dumbbell4FlowSimulatedSecond(benchmark::State& state) {
   // The fairness-mode unit of work: four competing Reno flows sharing the

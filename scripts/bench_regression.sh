@@ -51,7 +51,7 @@ trap 'rm -rf "$OUT"' EXIT
 # whatever the binary happens to contain.
 "$BUILD_DIR/bench/micro_sim" \
   --benchmark_min_time="$MIN_TIME" \
-  --benchmark_filter='BM_EventQueueChurn|BM_EventQueueChurnCold|BM_EventQueueRtoHeavy|BM_DumbbellSimulatedSecond|BM_DumbbellBbrSimulatedSecond|BM_Dumbbell4FlowSimulatedSecond|BM_Dumbbell16FlowSimulatedSecond|BM_DumbbellFullEventsSimulatedSecond|BM_DistPackets5000|BM_WindowedMaxFilter' \
+  --benchmark_filter='BM_EventQueueChurn|BM_EventQueueChurnCold|BM_EventQueueRtoHeavy|BM_DumbbellSimulatedSecond|BM_DumbbellBbrSimulatedSecond|BM_Dumbbell4FlowSimulatedSecond|BM_Dumbbell16FlowSimulatedSecond|BM_DumbbellFullEventsSimulatedSecond|BM_DumbbellTrafficTrace5s|BM_DumbbellLinkTrace5s|BM_DistPackets5000|BM_WindowedMaxFilter' \
   --benchmark_format=json >"$OUT/sim.json" 2>/dev/null
 "$BUILD_DIR/bench/micro_ga" \
   --benchmark_min_time="$MIN_TIME" \

@@ -663,6 +663,7 @@ const CampaignReport& Campaign::run() {
   std::vector<fuzz::BatchItem> items;
   std::unordered_set<std::uint64_t> batch_keys;
   std::uint64_t iteration = 0;
+  bool checkpointed = false;  // the last iteration ended with a checkpoint
 
   while (true) {
     // Graceful shutdown: the previous generation finished cleanly, so this
@@ -759,14 +760,16 @@ const CampaignReport& Campaign::run() {
     }
 
     ++iteration;
-    if (checkpoint_every_ > 0 && iteration % checkpoint_every_ == 0) {
-      write_checkpoint();
-    }
+    checkpointed = checkpoint_every_ > 0 && iteration % checkpoint_every_ == 0;
+    if (checkpointed) write_checkpoint();
   }
 
   // Final checkpoint: a finished campaign resumes as a no-op rewrite of the
-  // same report. (An interrupted run already checkpointed before breaking.)
-  if (!report_.interrupted) write_checkpoint();
+  // same report. Skipped when it would rewrite identical state: an
+  // interrupted run checkpointed before breaking, and an iteration that
+  // finished the last cell may already have checkpointed (nothing changes
+  // between it and the break).
+  if (!report_.interrupted && !checkpointed) write_checkpoint();
 
   report_.cells.reserve(cells_.size());
   for (auto& cp : cells_) report_.cells.push_back(std::move(cp->result));

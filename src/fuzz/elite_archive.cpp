@@ -40,7 +40,34 @@ bool read_hex_words(std::istringstream& is, coverage::CoverageBitmap& map) {
 
 }  // namespace
 
-EliteArchive::EliteArchive() : cells_(kCells) { occupied_.reserve(kCells); }
+EliteArchive::EliteArchive() { slot_of_.fill(kNoSlot); }
+
+const EliteArchive::Cell& EliteArchive::cell(std::size_t index) const {
+  static const Cell kEmpty;
+  const std::uint16_t slot = slot_of_[index];
+  return slot == kNoSlot ? kEmpty : slots_[slot];
+}
+
+EliteArchive::Cell& EliteArchive::claim(std::size_t index) {
+  // Reserved whole on first use (and again in a copy, whose capacity is its
+  // size): slots never move, so warm inserts never reallocate.
+  if (slots_.capacity() < kCells) {
+    slots_.reserve(kCells);
+    occupied_.reserve(kCells);
+  }
+  slot_of_[index] = static_cast<std::uint16_t>(slots_.size());
+  occupied_.push_back(static_cast<std::uint16_t>(index));
+  Cell& c = slots_.emplace_back();
+  c.occupied = true;
+  return c;
+}
+
+EliteArchive::Cell* EliteArchive::accept(std::size_t index, double score) {
+  if (slot_of_[index] == kNoSlot) return &claim(index);
+  Cell& c = slots_[slot_of_[index]];
+  // Ties keep the incumbent, so re-inserted elites never churn.
+  return score > c.eval.score.total() ? &c : nullptr;
+}
 
 std::size_t EliteArchive::cell_index(const coverage::BehaviorDescriptor& d) {
   std::size_t idx = quantize8(d.state_transitions);
@@ -58,37 +85,26 @@ EliteArchive::InsertResult EliteArchive::insert(const trace::Trace& genome,
   union_bits_ += r.fresh_bits;
   r.cell = cell_index(eval.coverage.descriptor);
 
-  Cell& c = cells_[r.cell];
-  if (!c.occupied) {
-    c.occupied = true;
-    occupied_.push_back(static_cast<std::uint16_t>(r.cell));
-    r.new_cell = true;
-  } else if (eval.score.total() > c.eval.score.total()) {
-    r.improved = true;
-  } else {
-    return r;  // incumbent stands (ties included: elites never churn)
-  }
+  r.new_cell = slot_of_[r.cell] == kNoSlot;
+  Cell* c = accept(r.cell, eval.score.total());
+  if (c == nullptr) return r;
+  r.improved = !r.new_cell;
   // Copy-assign into the incumbent's buffers: warm replacements reuse the
   // stamp/goodput vector capacities and allocate nothing.
-  c.genome = genome;
-  c.eval = eval;
+  c->genome = genome;
+  c->eval = eval;
   return r;
 }
 
 std::size_t EliteArchive::merge_from(const EliteArchive& other) {
   union_bits_ += union_map_.merge_count_new(other.union_map_);
   std::size_t changed = 0;
-  for (const std::uint16_t idx : other.occupied_) {
-    const Cell& theirs = other.cells_[idx];
-    Cell& ours = cells_[idx];
-    if (!ours.occupied) {
-      ours.occupied = true;
-      occupied_.push_back(idx);
-    } else if (!(theirs.eval.score.total() > ours.eval.score.total())) {
-      continue;  // incumbent stands (ties included), as in insert()
-    }
-    ours.genome = theirs.genome;
-    ours.eval = theirs.eval;
+  for (std::size_t k = 0; k < other.slots_.size(); ++k) {
+    const Cell& theirs = other.slots_[k];
+    Cell* ours = accept(other.occupied_[k], theirs.eval.score.total());
+    if (ours == nullptr) continue;
+    ours->genome = theirs.genome;
+    ours->eval = theirs.eval;
     ++changed;
   }
   return changed;
@@ -97,7 +113,7 @@ std::size_t EliteArchive::merge_from(const EliteArchive& other) {
 const EliteArchive::Cell& EliteArchive::sample(Rng& rng) const {
   const std::size_t pick = static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(occupied_.size()) - 1));
-  return cells_[occupied_[pick]];
+  return slots_[pick];
 }
 
 void EliteArchive::save(std::ostream& os) const {
@@ -107,9 +123,9 @@ void EliteArchive::save(std::ostream& os) const {
   write_hex_words(os, union_map_);
   os << "\n";
   os << std::setprecision(17);
-  for (const std::uint16_t idx : occupied_) {
-    const Cell& c = cells_[idx];
-    os << "# entry " << idx << "\n";
+  for (std::size_t k = 0; k < slots_.size(); ++k) {
+    const Cell& c = slots_[k];
+    os << "# entry " << occupied_[k] << "\n";
     os << "# score " << c.eval.score.performance << " " << c.eval.score.trace
        << "\n";
     const auto& d = c.eval.coverage.descriptor;
@@ -160,12 +176,12 @@ Result<EliteArchive> EliteArchive::try_load(std::istream& is) {
     if (entry_idx >= kCells) {
       return Error::corrupt("archive: cell index out of range");
     }
-    Cell& c = a.cells_[entry_idx];
-    if (c.occupied) return Error::corrupt("archive: duplicate cell");
-    c.occupied = true;
+    if (a.slot_of_[entry_idx] != kNoSlot) {
+      return Error::corrupt("archive: duplicate cell");
+    }
+    Cell& c = a.claim(entry_idx);
     c.genome = std::move(*genome);
     c.eval = entry_eval;
-    a.occupied_.push_back(static_cast<std::uint16_t>(entry_idx));
     a.union_map_.merge_count_new(c.eval.coverage.bitmap);
     return Error::success();
   };

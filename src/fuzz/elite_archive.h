@@ -9,16 +9,21 @@
 // the first time, which is the novelty bonus SearchMode::kMapElites /
 // GaConfig::novelty_bonus feeds back into selection.
 //
-// Cell storage is fixed (kCells slots, allocated up front) and replacement
-// copy-assigns into the incumbent's buffers, so a warm generation of
-// inserts performs zero heap allocations when genome sizes have reached
-// their high-water mark (pinned by the steady-state allocation test).
+// Cells are materialized on their first insert: slot storage for all kCells
+// is reserved (not constructed) then, and a 4096-entry index maps lattice
+// cells to slots, so an archive that never fills a cell costs a few KB
+// rather than kCells constructed cells. Slots never move once reserved, and
+// replacement copy-assigns into the incumbent's buffers, so a warm
+// generation of inserts performs zero heap allocations when genome sizes
+// have reached their high-water mark (pinned by the steady-state allocation
+// test).
 //
 // Archives serialize through trace_io (each elite genome is an embedded
 // `# ccfuzz-trace v1` block), so a campaign can resume from a previous
 // campaign's archive and keep filling cells.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -82,7 +87,9 @@ class EliteArchive {
   std::uint32_t union_bits() const { return union_bits_; }
   const coverage::CoverageBitmap& union_map() const { return union_map_; }
 
-  const Cell& cell(std::size_t index) const { return cells_[index]; }
+  /// The cell at lattice `index` (an unoccupied, empty cell if never
+  /// filled).
+  const Cell& cell(std::size_t index) const;
   /// Occupied lattice indices in first-fill order (deterministic).
   const std::vector<std::uint16_t>& occupied_cells() const {
     return occupied_;
@@ -109,8 +116,17 @@ class EliteArchive {
   static EliteArchive load_file(const std::string& path);
 
  private:
-  std::vector<Cell> cells_;             // kCells, fixed size
-  std::vector<std::uint16_t> occupied_; // fill order; reserved to kCells
+  static constexpr std::uint16_t kNoSlot = 0xffff;
+  /// Materializes the (unoccupied) lattice cell `index` as the next slot.
+  Cell& claim(std::size_t index);
+  /// The cell a candidate scoring `score` at lattice `index` should be
+  /// copied into — a newly claimed cell, or an incumbent it strictly
+  /// outscores — or null when the incumbent stands.
+  Cell* accept(std::size_t index, double score);
+
+  std::vector<Cell> slots_;             // occupied cells, fill order
+  std::vector<std::uint16_t> occupied_; // lattice index of each slot
+  std::array<std::uint16_t, kCells> slot_of_;  // lattice index -> slot
   coverage::CoverageBitmap union_map_{};
   std::uint32_t union_bits_ = 0;
 };

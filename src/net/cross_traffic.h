@@ -5,8 +5,17 @@
 // find the queue full are dropped and counted — the trace score uses both the
 // total injected and the drops to steer the GA toward minimal traffic
 // vectors (§3.4).
+//
+// Lazy FIFO chain: start() does not park one event per stamp (thousands of
+// far-band events for a multi-second trace). It reserves the block of FIFO
+// sequence numbers the eager schedule would have taken at that point
+// (sim::Simulator::reserve_seq) and queues only the first injection; each
+// injection queues — or, via Simulator::advance_inline, runs in place — its
+// successor, keyed (stamp, first_seq + index). The sorted trace never
+// reorders, so every injection fires with exactly its eager (time, seq) key.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -33,10 +42,13 @@ class CrossTrafficInjector {
         packet_bytes_(packet_bytes), flow_index_(flow_index) {}
 
   /// Schedules all injections. Call once before running the simulation.
+  /// Stamps before the current time fire at it (Simulator::schedule_at).
   void start() {
-    for (const TimeNs t : times_) {
-      sim_.schedule_at(t, [this] { inject_one(); });
-    }
+    next_ = 0;
+    if (times_.empty()) return;
+    floor_ = sim_.now();
+    first_seq_ = sim_.reserve_seq(static_cast<std::uint32_t>(times_.size()));
+    schedule_next();
   }
 
   /// Rearms the injector for a fresh run with a new schedule, reusing the
@@ -49,6 +61,7 @@ class CrossTrafficInjector {
     flow_index_ = flow_index;
     sent_ = 0;
     dropped_ = 0;
+    next_ = 0;
   }
 
   std::int64_t packets_sent() const { return sent_; }
@@ -62,6 +75,24 @@ class CrossTrafficInjector {
   }
 
  private:
+  TimeNs next_time() const { return std::max(times_[next_], floor_); }
+  std::uint32_t next_seq() const {
+    return first_seq_ + static_cast<std::uint32_t>(next_);
+  }
+  void schedule_next() {
+    sim_.schedule_reserved(next_time(), next_seq(), [this] { on_stamp(); });
+  }
+
+  /// The chain event: injects, then runs successors in place while they are
+  /// the global minimum, else queues the next stamp.
+  void on_stamp() {
+    do {
+      inject_one();
+      if (++next_ == times_.size()) return;
+    } while (sim_.advance_inline(next_time(), next_seq()));
+    schedule_next();
+  }
+
   void inject_one() {
     Packet p;
     p.id = 0x8000000000000000ULL + static_cast<std::uint64_t>(sent_);
@@ -77,6 +108,9 @@ class CrossTrafficInjector {
   sim::Simulator& sim_;
   DropTailQueue& queue_;
   std::vector<TimeNs> times_;
+  std::size_t next_ = 0;             ///< index of the next stamp to fire
+  TimeNs floor_ = TimeNs::zero();    ///< clock at start(): earliest fire time
+  std::uint32_t first_seq_ = 0;      ///< reserved seq of stamp 0
   std::int32_t packet_bytes_;
   FlowIndex flow_index_;
   std::function<void(const Packet&, TimeNs)> on_inject_;

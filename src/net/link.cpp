@@ -1,18 +1,14 @@
 #include "net/link.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ccfuzz::net {
 
-void BottleneckLink::complete_transmission(Packet&& p, TimeNs egress) {
+void BottleneckLink::complete_transmission(Packet&& p) {
   ++served_;
-  if (egress_) egress_(p, egress);
-  if (deliver_) {
-    // Park the packet in the pool; the delivery event carries only the index.
-    const PacketPool::Index idx = pool_->put(std::move(p));
-    sim_.schedule_at(egress + prop_delay_,
-                     [this, idx] { deliver_(pool_->take(idx)); });
-  }
+  if (egress_) egress_(p, sim_.now());
+  if (deliver_) propagation_.send(std::move(p));
 }
 
 TraceDrivenLink::TraceDrivenLink(sim::Simulator& sim, DropTailQueue& queue,
@@ -48,16 +44,18 @@ void TraceDrivenLink::start() {
 }
 
 void TraceDrivenLink::on_opportunity() {
-  const TimeNs now = sim_.now();
-  if (auto p = queue_.dequeue()) {
-    complete_transmission(std::move(*p), now);
-  } else {
-    ++wasted_;
-  }
-  ++next_;
-  if (next_ < times_.size()) {
-    sim_.schedule_at(times_[next_], [this] { on_opportunity(); });
-  }
+  TimeNs at;
+  do {
+    if (auto p = queue_.dequeue()) {
+      complete_transmission(std::move(*p));
+    } else {
+      ++wasted_;
+    }
+    if (++next_ == times_.size()) return;
+    // schedule_at() semantics: a stamp in the past fires now.
+    at = std::max(times_[next_], sim_.now());
+  } while (sim_.advance_inline(at));
+  sim_.schedule_at(at, [this] { on_opportunity(); });
 }
 
 FixedRateLink::FixedRateLink(sim::Simulator& sim, DropTailQueue& queue,
@@ -86,7 +84,7 @@ void FixedRateLink::maybe_begin_service() {
 }
 
 void FixedRateLink::on_transmit_done(Packet&& p) {
-  complete_transmission(std::move(p), sim_.now());
+  complete_transmission(std::move(p));
   busy_ = false;
   maybe_begin_service();
 }

@@ -9,6 +9,16 @@
 // FixedRateLink serializes packets back-to-back at a constant rate; it is the
 // bottleneck used in traffic fuzzing mode (§3.3), where the trace controls
 // cross traffic instead.
+//
+// Event economy (lazy FIFO chains, see net/delay_pipe.h): a packet leaving
+// the bottleneck enters a DelayPipe for its propagation delay, so the link
+// keeps one queued delivery event however many packets are on the wire. The
+// trace-driven opportunity chain already kept one queued event; at the tail
+// of each opportunity it now asks Simulator::advance_inline to run the next
+// one in place when nothing else is due first — runs of wasted opportunities
+// on an idle queue no longer round-trip through the event heap. The next
+// opportunity takes a fresh FIFO seq at that point either way, exactly as
+// the eager re-schedule did, so event order is unchanged.
 #pragma once
 
 #include <functional>
@@ -16,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/delay_pipe.h"
 #include "net/packet.h"
 #include "net/packet_pool.h"
 #include "net/queue.h"
@@ -54,12 +65,14 @@ class BottleneckLink {
   /// runs via scenario::RunContext); a private pool is used when null.
   BottleneckLink(sim::Simulator& sim, DropTailQueue& queue,
                  DurationNs prop_delay, PacketPool* pool)
-      : sim_(sim), queue_(queue), prop_delay_(prop_delay),
-        pool_(pool != nullptr ? pool : &own_pool_) {}
+      : sim_(sim), queue_(queue),
+        pool_(pool != nullptr ? pool : &own_pool_),
+        propagation_(sim, prop_delay,
+                     [this](Packet&& p) { deliver_(std::move(p)); }, pool_) {}
 
-  /// Transmits one packet (already dequeued) at time `egress`: notifies the
-  /// egress observer and schedules sink delivery after propagation.
-  void complete_transmission(Packet&& p, TimeNs egress);
+  /// Transmits one packet (already dequeued) now: notifies the egress
+  /// observer and sends it down the propagation pipe to the sink.
+  void complete_transmission(Packet&& p);
 
   PacketPool& pool() { return *pool_; }
 
@@ -67,17 +80,17 @@ class BottleneckLink {
   /// observer/delivery callbacks are kept (they outlive runs in a reusable
   /// harness).
   void reset_base(DurationNs prop_delay) {
-    prop_delay_ = prop_delay;
+    propagation_.reset(prop_delay);
     served_ = 0;
   }
 
   sim::Simulator& sim_;
   DropTailQueue& queue_;
-  DurationNs prop_delay_;
   DeliveryFn deliver_;
   EgressFn egress_;
   PacketPool own_pool_;
   PacketPool* pool_;
+  DelayPipe propagation_;  ///< egress → sink
   std::int64_t served_ = 0;
 };
 

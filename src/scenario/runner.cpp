@@ -165,6 +165,7 @@ const RunResult& RunContext::run(const ScenarioConfig& cfg,
     result_.truncation = sim::TruncationReason::kSimTimeLimit;
   }
   result_.truncated = result_.truncation != sim::TruncationReason::kNone;
+  result_.events = sim_.events_executed();
   result_.probe.finalize();
 
   // The recorder and metrics were written in place (they live inside

@@ -113,6 +113,8 @@ struct RunResult {
   /// reflect the truncated prefix.
   bool truncated = false;
   sim::TruncationReason truncation = sim::TruncationReason::kNone;
+  /// Simulator events the run executed (its exact unit of work).
+  std::uint64_t events = 0;
 
   /// Runtime invariant oracle results; armed and populated only when
   /// ScenarioConfig::invariants is set (empty and inert otherwise).

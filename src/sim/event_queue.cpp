@@ -6,7 +6,8 @@
 
 namespace ccfuzz::sim {
 
-EventId EventQueue::schedule_impl(TimeNs at, EventCallback fn) {
+EventId EventQueue::schedule_impl(TimeNs at, std::uint32_t seq,
+                                  EventCallback fn) {
   std::uint32_t slot;
   if (free_head_ != kNil) {
     slot = free_head_;
@@ -16,7 +17,6 @@ EventId EventQueue::schedule_impl(TimeNs at, EventCallback fn) {
     slots_.emplace_back();
   }
   Slot& s = slots_[slot];
-  const std::uint32_t seq = next_seq_++;
   s.fn = std::move(fn);
   ++s.generation;
   s.seq = seq;
@@ -82,11 +82,25 @@ void EventQueue::heap_pop_top() {
   heap_[i] = last;
 }
 
+void EventQueue::bucket_push(std::size_t slot, HeapHandle h) {
+  std::uint32_t n;
+  if (far_free_ != kNil) {
+    n = far_free_;
+    far_free_ = far_nodes_[n].next;
+  } else {
+    n = static_cast<std::uint32_t>(far_nodes_.size());
+    far_nodes_.emplace_back();
+  }
+  std::uint64_t& word = wheel_bits_[slot >> 6];
+  const std::uint64_t bit = 1ull << (slot & 63);
+  far_nodes_[n] = FarNode{h, (word & bit) != 0 ? bucket_head_[slot] : kNil};
+  bucket_head_[slot] = n;
+  word |= bit;
+}
+
 void EventQueue::far_push(HeapHandle h, std::int64_t epoch) {
   if (epoch <= horizon_ + static_cast<std::int64_t>(kWheelSize)) {
-    const std::size_t slot = static_cast<std::size_t>(epoch) & kWheelMask;
-    wheel_[slot].push_back(h);
-    wheel_bits_[slot >> 6] |= 1ull << (slot & 63);
+    bucket_push(static_cast<std::size_t>(epoch) & kWheelMask, h);
   } else {
     overflow_.push_back(h);
     if (epoch < overflow_min_epoch_) overflow_min_epoch_ = epoch;
@@ -136,9 +150,7 @@ void EventQueue::redistribute_overflow() {
     }
     const std::int64_t epoch = epoch_of(h.at_ns);
     if (epoch <= horizon_ + static_cast<std::int64_t>(kWheelSize)) {
-      const std::size_t slot = static_cast<std::size_t>(epoch) & kWheelMask;
-      wheel_[slot].push_back(h);
-      wheel_bits_[slot >> 6] |= 1ull << (slot & 63);
+      bucket_push(static_cast<std::size_t>(epoch) & kWheelMask, h);
     } else {
       overflow_[keep++] = h;
       if (epoch < new_min) new_min = epoch;
@@ -174,12 +186,16 @@ void EventQueue::flush_min_far() {
     return;
   }
   const std::size_t slot = static_cast<std::size_t>(epoch) & kWheelMask;
-  std::vector<HeapHandle>& bucket = wheel_[slot];
-  far_size_ -= bucket.size();
-  for (const HeapHandle& h : bucket) {
-    if (!stale(h)) heap_push(h);  // original seq: FIFO ties survive the trip
+  for (std::uint32_t n = bucket_head_[slot]; n != kNil;) {
+    FarNode& node = far_nodes_[n];
+    // Original seq: FIFO ties survive the trip whatever the list order.
+    if (!stale(node.h)) heap_push(node.h);
+    const std::uint32_t next = node.next;
+    node.next = far_free_;
+    far_free_ = n;
+    --far_size_;
+    n = next;
   }
-  bucket.clear();
   wheel_bits_[slot >> 6] &= ~(1ull << (slot & 63));
   if (epoch > horizon_) horizon_ = epoch;
   far_min_epoch_ = first_bucket_epoch();
@@ -208,6 +224,12 @@ void EventQueue::prune() {
     break;
   }
   if (!heap_.empty()) __builtin_prefetch(&slots_[heap_[0].slot]);
+}
+
+bool EventQueue::precedes_next(TimeNs at, std::uint32_t seq) {
+  prune();
+  // After prune() every far handle fires later than the heap top.
+  return heap_.empty() || earlier(HeapHandle{at.ns(), seq, 0}, heap_[0]);
 }
 
 TimeNs EventQueue::next_time() {
@@ -257,9 +279,10 @@ void EventQueue::reset() {
   live_ = 0;
   next_seq_ = 0;
   if (far_size_ != 0) {
-    // clear() keeps each bucket's capacity, so the next run's far band
+    // clear() keeps the node slab's capacity, so the next run's far band
     // parks without allocating.
-    for (std::vector<HeapHandle>& b : wheel_) b.clear();
+    far_nodes_.clear();
+    far_free_ = kNil;
     overflow_.clear();
     wheel_bits_.fill(0);
     far_size_ = 0;

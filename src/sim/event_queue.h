@@ -19,19 +19,18 @@
 //     events within kNearEpochs epochs (~67 ms) of the current heap top.
 //     The *far band* parks everything beyond the horizon — RTO timers,
 //     sender stop times, trace tail events — in a wheel of kWheelSize epoch
-//     buckets (plain vectors, one per 2^kEpochShift ns ≈ 4.2 ms of virtual
-//     time) plus a single overflow vector for epochs beyond the wheel span
+//     buckets (one per 2^kEpochShift ns ≈ 4.2 ms of virtual time) plus a
+//     single overflow vector for epochs beyond the wheel span
 //     (~1.07 s). Far scheduling is an O(1) vector push; far handles migrate
 //     into the heap lazily, whole epochs at a time, as the clock approaches.
-//   * Capacity caveat: the wheel's epoch buckets are cleared, not shrunk,
-//     at migration, so each bucket's capacity sits at its own high-water
-//     mark for the rest of the run. For periodic single-flow traffic the
-//     per-bucket HWM converges after about five wheel revolutions (~5 s of
-//     virtual time): the periodic pattern must land in every bucket a few
-//     times before the deepest phase alignment has been seen. Until then a
-//     long-idle bucket can still take one allocator hit when the pattern
-//     first drifts into it — relevant to anyone adding a steady-state
-//     allocation assertion with a warmup shorter than that.
+//   * Bucket storage is one node slab shared by the whole wheel: each bucket
+//     is an intrusive singly-linked list of {handle, next} nodes, and
+//     migration returns a bucket's nodes to a free list. Capacity therefore
+//     tracks the most handles parked at once across the wheel, not each
+//     bucket's own high-water mark — a periodic pattern drifting into a
+//     bucket it never used before (per-bucket vectors took about five wheel
+//     revolutions, ~5 s of virtual time, to see every phase) finds storage
+//     already warm.
 //   * Why it pays: the dominant far-timer pattern is armed-then-cancelled
 //     (the RTO is re-armed on every cumulative ACK, tcp_rearm_rto-style).
 //     In a single heap each re-arm left a stale handle that inflated every
@@ -54,6 +53,17 @@
 //     single heap. seq restarts on reset() (both bands are empty then),
 //     bounding the tie-break at 2^32 schedules per run — orders of magnitude
 //     above any simulation (scenario::RunContext resets per run).
+//   * Reserved sequence numbers (lazy FIFO chains): reserve_seq() hands out
+//     the seq a schedule() would have taken, without queueing anything, and
+//     schedule_reserved() queues an event under such a seq later. A
+//     component with a FIFO of future events (a constant-delay pipe, a
+//     sorted injection trace) reserves one seq per event at the moment it
+//     would have scheduled it eagerly, keeps the (time, seq) keys in its own
+//     ring, and keeps only its earliest one queued. Its FIFO never reorders
+//     (times are non-decreasing, seqs increasing), and each successor is
+//     queued while its predecessor runs — before any event with a larger
+//     key can fire — so every event fires with exactly the key, and in
+//     exactly the order, of the eager schedule.
 #pragma once
 
 #include <array>
@@ -85,8 +95,32 @@ class EventQueue {
   /// Schedules `fn` at absolute time `at`; returns a cancellation handle.
   template <typename F>
   EventId schedule(TimeNs at, F&& fn) {
-    return schedule_impl(at, EventCallback(std::forward<F>(fn)));
+    return schedule_impl(at, next_seq_++, EventCallback(std::forward<F>(fn)));
   }
+
+  /// Schedules `fn` at `at` under a FIFO sequence number obtained earlier
+  /// from reserve_seq(): it orders among equal-time events as if it had been
+  /// scheduled at the moment the seq was reserved. Each reserved seq may be
+  /// scheduled at most once.
+  template <typename F>
+  EventId schedule_reserved(TimeNs at, std::uint32_t seq, F&& fn) {
+    return schedule_impl(at, seq, EventCallback(std::forward<F>(fn)));
+  }
+
+  /// Reserves `n` consecutive FIFO sequence numbers and returns the first —
+  /// the seqs the next `n` schedule() calls would have taken.
+  std::uint32_t reserve_seq(std::uint32_t n = 1) {
+    const std::uint32_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// The seq the next schedule() or reserve_seq() will hand out.
+  std::uint32_t peek_seq() const { return next_seq_; }
+
+  /// True if an event keyed (at, seq) would fire before every live event
+  /// (also when none is left).
+  bool precedes_next(TimeNs at, std::uint32_t seq);
 
   /// Cancels a pending event in O(1). Cancelling an already-fired or unknown
   /// id is a no-op.
@@ -165,7 +199,9 @@ class EventQueue {
     return !s.live || s.seq != h.seq;
   }
 
-  EventId schedule_impl(TimeNs at, EventCallback fn);
+  EventId schedule_impl(TimeNs at, std::uint32_t seq, EventCallback fn);
+  /// Parks a handle in wheel bucket `slot`.
+  void bucket_push(std::size_t slot, HeapHandle h);
   void heap_push(HeapHandle h);
   void heap_pop_top();
   /// Parks a handle in the far band (wheel bucket or overflow).
@@ -199,7 +235,15 @@ class EventQueue {
   std::size_t far_size_ = 0;            ///< parked handles, stale included
   std::int64_t far_min_epoch_ = kNoEpoch;       ///< min parked epoch
   std::int64_t overflow_min_epoch_ = kNoEpoch;  ///< min epoch in overflow_
-  std::array<std::vector<HeapHandle>, kWheelSize> wheel_;
+  struct FarNode {
+    HeapHandle h;
+    std::uint32_t next;  ///< next node of the same bucket (or free list)
+  };
+  std::vector<FarNode> far_nodes_;  ///< node slab shared by all buckets
+  std::uint32_t far_free_ = kNil;   ///< free-list head in far_nodes_
+  /// First node of each bucket; meaningful only while its wheel_bits_ bit
+  /// is set.
+  std::array<std::uint32_t, kWheelSize> bucket_head_{};
   std::array<std::uint64_t, kWheelWords> wheel_bits_{};  ///< non-empty map
   std::vector<HeapHandle> overflow_;
 };

@@ -1,7 +1,21 @@
 // The Simulator owns the virtual clock and event queue and drives a single
 // deterministic run.
+//
+// Inline chain advance: a component that keeps a lazy FIFO chain (one
+// queued event standing for a whole FIFO of future events, see
+// EventQueue::reserve_seq) would otherwise pop its event, run it, and push
+// the successor straight back — often to the heap top again. At the tail of
+// its callback it may instead call advance_inline() with the successor's
+// key. When that key precedes every queued event, is due by the current
+// run_until() deadline and the run guards would let one more event run, the
+// simulator counts the finished event, moves the clock to the successor's
+// time and lets the callback run the successor in place. That is exactly
+// what the loop would have done next — pop the global minimum, count it,
+// check the guards — so event order, events_executed(), event-limit
+// truncation and wall-budget sampling points are all unchanged.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -38,6 +52,30 @@ class Simulator {
     return queue_.schedule(at, std::forward<F>(fn));
   }
 
+  /// Schedules `fn` at `at` (>= now) under a seq from reserve_seq(); see
+  /// EventQueue::schedule_reserved.
+  template <typename F>
+  EventId schedule_reserved(TimeNs at, std::uint32_t seq, F&& fn) {
+    assert(at >= now_ && "reserved event in the past");
+    return queue_.schedule_reserved(at, seq, std::forward<F>(fn));
+  }
+
+  /// Reserves `n` consecutive FIFO sequence numbers (the seqs the next `n`
+  /// schedules would take) and returns the first.
+  std::uint32_t reserve_seq(std::uint32_t n = 1) {
+    return queue_.reserve_seq(n);
+  }
+
+  /// Tries to run the calling event's successor, keyed (at, seq), in place.
+  /// On true the calling event has been counted and the clock stands at
+  /// `at`: the caller now runs the successor's work. On false nothing
+  /// changed and the caller must schedule the successor as usual. Only call
+  /// at the tail of an event callback, after that event's own work is done.
+  bool advance_inline(TimeNs at, std::uint32_t seq);
+  /// Same, for a successor that would take a fresh seq at this point; the
+  /// seq is consumed only when the advance succeeds.
+  bool advance_inline(TimeNs at);
+
   /// Cancels a pending event (no-op if already fired).
   void cancel(EventId id) { queue_.cancel(id); }
 
@@ -49,7 +87,7 @@ class Simulator {
   /// Runs until the queue drains completely.
   std::uint64_t run_all() { return run_until(TimeNs::infinite()); }
 
-  /// Total events executed so far.
+  /// Total events executed so far (kept current during a run).
   std::uint64_t events_executed() const { return executed_; }
 
   /// Arms run guards for subsequent run_until() calls. Unarmed (default) or
@@ -81,6 +119,10 @@ class Simulator {
   EventQueue queue_;
   TimeNs now_ = TimeNs::zero();
   std::uint64_t executed_ = 0;
+  // State of the run_until() in progress, read by advance_inline().
+  bool running_ = false;
+  TimeNs deadline_ = TimeNs::zero();
+  std::uint64_t run_start_ = 0;                 // executed_ at run start
   std::uint64_t event_limit_ = UINT64_MAX;      // absolute, vs executed_
   std::int64_t wall_deadline_ns_ = -1;          // monotonic ns; -1 = unarmed
   TruncationReason truncation_ = TruncationReason::kNone;

@@ -27,7 +27,11 @@ std::string fmt_double(double v) {
 }
 
 std::string quoted(const std::string& s) {
-  return "\"" + campaign::json_escape(s) + "\"";
+  // Appended piecewise: `"\"" + str` trips a false -Wrestrict in GCC 12.
+  std::string out = "\"";
+  out += campaign::json_escape(s);
+  out += '"';
+  return out;
 }
 
 /// Reverse of campaign::json_escape for the escapes it emits.

@@ -13,6 +13,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "fuzz/state_io.h"
 #include "util/record_io.h"
@@ -97,6 +98,18 @@ class StopAfterObserver final : public CampaignObserver {
   int remaining_;
 };
 
+/// Copies the head checkpoint whenever a cell ends. The last copy is the
+/// snapshot on disk while the final iteration ran: generation N-1.
+class HeadAtCellEnd final : public CampaignObserver {
+ public:
+  explicit HeadAtCellEnd(std::string path) : path_(std::move(path)) {}
+  void on_cell_end(const CellResult&) override { bytes = slurp(path_); }
+  std::string bytes;
+
+ private:
+  std::string path_;
+};
+
 class CheckpointRotationTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -153,6 +166,31 @@ TEST_F(CheckpointRotationTest, RotationKeepsAValidPreviousSnapshot) {
   ASSERT_FALSE(c.run().interrupted);
   EXPECT_FALSE(validate_checkpoint_file(head(dir)));
   EXPECT_FALSE(validate_checkpoint_file(head(dir) + ".prev"));
+}
+
+TEST_F(CheckpointRotationTest, FinishedRunWritesItsFinalCheckpointOnce) {
+  // The iteration that finishes the last cell already checkpoints; writing
+  // the same state again after the loop would rotate it over .prev and
+  // leave head and .prev byte-identical.
+  const std::string dir = (base_ / "out").string();
+  Campaign c(tiny_campaign(dir));
+  HeadAtCellEnd generation_before_last(head(dir));
+  c.add_observer(&generation_before_last);
+  ASSERT_FALSE(c.run().interrupted);
+  ASSERT_FALSE(generation_before_last.bytes.empty());
+  EXPECT_EQ(slurp(head(dir) + ".prev"), generation_before_last.bytes);
+  EXPECT_NE(slurp(head(dir)), generation_before_last.bytes);
+  EXPECT_FALSE(validate_checkpoint_file(head(dir)));
+  EXPECT_FALSE(validate_checkpoint_file(head(dir) + ".prev"));
+
+  // Resuming the finished tree still rewrites an identical report.
+  const std::string summary = slurp(fs::path(dir) / "summary.json");
+  CampaignConfig cfg = tiny_campaign(dir);
+  cfg.resume_dir(dir);
+  Campaign resumed(cfg);
+  EXPECT_TRUE(resumed.resumed());
+  EXPECT_FALSE(resumed.run().interrupted);
+  EXPECT_EQ(slurp(fs::path(dir) / "summary.json"), summary);
 }
 
 TEST_F(CheckpointRotationTest, CorruptHeadResumesFromPrevBitIdentical) {

@@ -7,10 +7,14 @@
 // rewrite (slab/generation EventQueue, PacketPool, RunContext). Any change
 // to event ordering, packet bookkeeping or clock behavior trips these.
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cca/registry.h"
+#include "scenario/presets.h"
 #include "scenario/runner.h"
 #include "trace/dist_packets.h"
 #include "util/rng.h"
@@ -164,6 +168,150 @@ TEST(GoldenDeterminism, BandMigrationMatchesPreTwoBandFingerprints) {
     EXPECT_EQ(run.cca_drops(), 37);
     EXPECT_EQ(run.rto_count(), 2);
     EXPECT_EQ(fingerprint(run), 0xd350048e40190f88ULL);
+  }
+}
+
+/// One seeded random-genome case of the event-order contract.
+struct RandomCase {
+  std::string name;
+  ScenarioConfig cfg;
+  std::string cca;
+  std::vector<TimeNs> trace;
+};
+
+/// Seeded random genomes for every registered CCA in both modes — traffic
+/// traces run 3-5 s, several times the far band's 1.07 s wheel span — plus
+/// shaped cases aimed at the lazy event chains: equal-stamp service bursts,
+/// a zero-delay access pipe, a multi-flow preset and armed invariants.
+std::vector<RandomCase> random_cases() {
+  std::vector<RandomCase> cases;
+  Rng rng(0x601D);
+  const auto base = [](FuzzMode mode, std::int64_t seconds) {
+    ScenarioConfig cfg;
+    cfg.duration = TimeNs::seconds(seconds);
+    cfg.mode = mode;
+    cfg.record_mode = RecordMode::kFullEvents;
+    return cfg;
+  };
+  for (const std::string& cca : cca::known_ccas()) {
+    for (const FuzzMode mode : {FuzzMode::kLink, FuzzMode::kTraffic}) {
+      const std::int64_t seconds = rng.uniform_int(3, 5);
+      ScenarioConfig cfg = base(mode, seconds);
+      const std::int64_t stamps = mode == FuzzMode::kLink
+                                      ? rng.uniform_int(600, 2400) * seconds
+                                      : rng.uniform_int(200, 700) * seconds;
+      cases.push_back({cca + "/" + to_string(mode), cfg, cca,
+                       trace::dist_packets(stamps, TimeNs::zero(),
+                                           cfg.duration, rng)});
+    }
+  }
+  {
+    // Service bursts: runs of up to 8 opportunities on one stamp.
+    std::vector<TimeNs> trace;
+    for (std::int64_t t = 0; t < 4'000'000'000;
+         t += rng.uniform_int(1, 12) * 1'000'000) {
+      const std::int64_t burst = rng.uniform_int(1, 8);
+      for (std::int64_t k = 0; k < burst; ++k) trace.push_back(TimeNs(t));
+    }
+    cases.push_back({"reno/link-equal-stamp-bursts",
+                     base(FuzzMode::kLink, 4), "reno", std::move(trace)});
+  }
+  {
+    ScenarioConfig cfg = base(FuzzMode::kTraffic, 3);
+    cfg.net.access_delay = DurationNs::zero();
+    cases.push_back({"cubic/traffic-zero-access-delay", cfg, "cubic",
+                     trace::dist_packets(1500, TimeNs::zero(), cfg.duration,
+                                         rng)});
+  }
+  {
+    ScenarioConfig cfg = base(FuzzMode::kLink, 3);
+    cfg.flows.resize(1);
+    cfg.flows[0].access_delay = DurationNs::zero();
+    cfg.flows[0].ack_path_delay = DurationNs::zero();
+    cases.push_back({"bbr/link-zero-delay-flow", cfg, "bbr",
+                     trace::dist_packets(4000, TimeNs::zero(), cfg.duration,
+                                         rng)});
+  }
+  {
+    const ScenarioConfig cfg =
+        apply_preset("late_starter", base(FuzzMode::kTraffic, 4));
+    cases.push_back({"reno/traffic-late-starter", cfg, "reno",
+                     trace::dist_packets(1800, TimeNs::zero(), cfg.duration,
+                                         rng)});
+  }
+  {
+    ScenarioConfig cfg = apply_preset("incast", base(FuzzMode::kLink, 3));
+    cfg.invariants = true;
+    cases.push_back({"cubic/link-incast-invariants", cfg, "cubic",
+                     trace::dist_packets(6000, TimeNs::zero(), cfg.duration,
+                                         rng)});
+  }
+  {
+    ScenarioConfig cfg = base(FuzzMode::kTraffic, 5);
+    cfg.invariants = true;
+    cases.push_back({"bbr/traffic-invariants", cfg, "bbr",
+                     trace::dist_packets(3000, TimeNs::zero(), cfg.duration,
+                                         rng)});
+  }
+  {
+    // Truncated by the event limit mid-run, with the wall-clock guard armed
+    // (never hit) so its sampling points are live too.
+    ScenarioConfig cfg = base(FuzzMode::kTraffic, 5);
+    cfg.budget.max_events = 7'001;
+    cfg.budget.max_wall_time = DurationNs::seconds(300);
+    cases.push_back({"reno/traffic-event-limit", cfg, "reno",
+                     trace::dist_packets(2500, TimeNs::zero(), cfg.duration,
+                                         rng)});
+  }
+  return cases;
+}
+
+struct RandomGolden {
+  const char* name;
+  std::uint64_t events;
+  std::uint64_t hash;
+};
+
+// Recorded from the eager event core (one queued event per in-flight packet
+// and per cross-traffic stamp), in random_cases() order.
+constexpr RandomGolden kRandomGolden[] = {
+    {"reno/link", 5872, 0x9ac8940b0b45b96eULL},
+    {"reno/traffic", 16498, 0xe83fd0b75db07e96ULL},
+    {"cubic/link", 9494, 0xccbdabdf8345d951ULL},
+    {"cubic/traffic", 12827, 0x9a3fb915a992dafdULL},
+    {"cubic-ns3bug/link", 14243, 0xa4151048b070d95cULL},
+    {"cubic-ns3bug/traffic", 14438, 0x315c30d081e9786bULL},
+    {"bbr/link", 6508, 0x53f585bd5abb2edeULL},
+    {"bbr/traffic", 14430, 0x94c0524ddb1aec3fULL},
+    {"bbr-linux-strict/link", 26795, 0x945574a79a5c0158ULL},
+    {"bbr-linux-strict/traffic", 11806, 0x623b9b124442bec0ULL},
+    {"bbr-probertt-on-rto/link", 15872, 0x2292208d313f7fd4ULL},
+    {"bbr-probertt-on-rto/traffic", 12512, 0x31b20ecee7a7071fULL},
+    {"reno/link-equal-stamp-bursts", 6708, 0x4ca184f00055fe65ULL},
+    {"cubic/traffic-zero-access-delay", 10111, 0xa1db00f503fae16dULL},
+    {"bbr/link-zero-delay-flow", 13123, 0x707eb76edd8c567eULL},
+    {"reno/traffic-late-starter", 12820, 0xb0baa46ba12cf9c4ULL},
+    {"cubic/link-incast-invariants", 14107, 0xe756191332dd79eaULL},
+    {"bbr/traffic-invariants", 20090, 0x44334379a12ae5b1ULL},
+    {"reno/traffic-event-limit", 7001, 0xf6b06c5423ae4bc9ULL},
+};
+
+TEST(GoldenDeterminism, RandomGenomesMatchEagerEventCore) {
+  // Lazy FIFO chains must reproduce the eager core's event order exactly:
+  // same fingerprints and the same number of executed events.
+  const std::vector<RandomCase> cases = random_cases();
+  ASSERT_EQ(cases.size(), std::size(kRandomGolden));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const RandomCase& c = cases[i];
+    SCOPED_TRACE(c.name);
+    const auto run = run_scenario(c.cfg, cca::make_factory(c.cca), c.trace);
+    const RandomGolden& g = kRandomGolden[i];
+    EXPECT_EQ(c.name, g.name);
+    EXPECT_EQ(run.events, g.events);
+    EXPECT_EQ(fingerprint(run), g.hash);
+    if (c.cfg.invariants) {
+      EXPECT_TRUE(run.invariants.clean());
+    }
   }
 }
 

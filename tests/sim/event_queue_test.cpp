@@ -322,6 +322,73 @@ TEST(EventQueue, ResetWithPopulatedFarBand) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(EventQueue, ReservedSeqFiresBeforeLaterEqualTimeEvent) {
+  // A seq reserved before an equal-time event was scheduled orders ahead of
+  // it, even though its own event is queued afterwards.
+  EventQueue q;
+  std::vector<int> order;
+  EXPECT_EQ(q.peek_seq(), 0u);
+  const std::uint32_t early = q.reserve_seq();
+  EXPECT_EQ(early, 0u);
+  EXPECT_EQ(q.peek_seq(), 1u);
+  q.schedule(TimeNs::millis(5), [&] { order.push_back(2); });
+  EXPECT_TRUE(q.precedes_next(TimeNs::millis(5), early));
+  EXPECT_FALSE(q.precedes_next(TimeNs::millis(5), q.peek_seq()));
+  EXPECT_TRUE(q.precedes_next(TimeNs::millis(4), q.peek_seq()));
+  q.schedule_reserved(TimeNs::millis(5), early, [&] { order.push_back(1); });
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, ReservedBlockFiresInSeqOrder) {
+  // A block of reserved seqs scheduled back to front at one timestamp still
+  // fires front to back, ahead of an equal-time event scheduled later.
+  EventQueue q;
+  std::vector<int> order;
+  const std::uint32_t first = q.reserve_seq(3);
+  q.schedule(TimeNs::millis(7), [&] { order.push_back(3); });
+  for (int k = 2; k >= 0; --k) {
+    q.schedule_reserved(TimeNs::millis(7), first + static_cast<std::uint32_t>(k),
+                        [&order, k] { order.push_back(k); });
+  }
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, ReservedSeqSurvivesWheelMigration) {
+  // The fresh-seq event parks in a wheel bucket and migrates to the heap as
+  // the clock approaches; the reserved one arrives later straight into the
+  // heap. The reserved seq still wins the tie.
+  EventQueue q;
+  std::vector<int> order;
+  const TimeNs t = TimeNs::millis(500);
+  const std::uint32_t early = q.reserve_seq();
+  q.schedule(t, [&] { order.push_back(2); });  // far at schedule time
+  q.schedule(TimeNs::millis(490), [&] { order.push_back(0); });
+  q.run_next();  // the clock reaches 490 ms; t's epoch is now near
+  q.schedule_reserved(t, early, [&] { order.push_back(1); });
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueue, ReservedSeqSurvivesOverflowMigration) {
+  // Both equal-time events start beyond the wheel span (overflow band) and
+  // travel overflow -> wheel -> heap; the reserved seq, scheduled second,
+  // fires first. A third, later-seq event joins them in the heap.
+  EventQueue q;
+  std::vector<int> order;
+  const TimeNs t = TimeNs::seconds(3);
+  const std::uint32_t early = q.reserve_seq();
+  q.schedule(t, [&] { order.push_back(2); });
+  q.schedule_reserved(t, early, [&] { order.push_back(1); });
+  q.schedule(TimeNs::millis(2990), [&] {
+    order.push_back(0);
+    q.schedule(t, [&] { order.push_back(3); });
+  });
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
 TEST(EventQueue, OverflowBandRedistributesAndFires) {
   // Events far beyond the wheel span must survive the overflow →  wheel →
   // heap journey; one of them is cancelled while still parked deep in the

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 namespace ccfuzz::sim {
@@ -113,6 +114,104 @@ TEST(Timer, CanRearmFromItsOwnCallback) {
   sim.run_all();
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(sim.now(), TimeNs::millis(3));
+}
+
+TEST(Simulator, AdvanceInlineRunsASuccessorInPlace) {
+  Simulator sim;
+  std::vector<std::int64_t> seen;
+  sim.schedule_at(TimeNs::millis(1), [&] {
+    seen.push_back(sim.now().to_millis());
+    ASSERT_TRUE(sim.advance_inline(TimeNs::millis(2)));
+    seen.push_back(sim.now().to_millis());
+  });
+  sim.schedule_at(TimeNs::millis(3), [&] { seen.push_back(-3); });
+  EXPECT_EQ(sim.run_all(), 3u);  // the inline successor counts as an event
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{1, 2, -3}));
+}
+
+TEST(Simulator, AdvanceInlineRefusesPastTheDeadline) {
+  Simulator sim;
+  bool advanced = true;
+  sim.schedule_at(TimeNs::millis(5),
+                  [&] { advanced = sim.advance_inline(TimeNs::millis(11)); });
+  EXPECT_EQ(sim.run_until(TimeNs::millis(10)), 1u);
+  EXPECT_FALSE(advanced);
+  EXPECT_EQ(sim.now(), TimeNs::millis(10));
+}
+
+TEST(Simulator, AdvanceInlineRefusesATieWithAnEarlierSeq) {
+  // An equal-time event queued earlier (lower seq) fires first, so a fresh
+  // successor at its time must not jump ahead; a seq reserved before it may.
+  Simulator sim;
+  std::vector<int> order;
+  const std::uint32_t reserved = sim.reserve_seq();
+  sim.schedule_at(TimeNs::millis(2), [&] { order.push_back(2); });
+  sim.schedule_at(TimeNs::millis(1), [&] {
+    order.push_back(0);
+    EXPECT_FALSE(sim.advance_inline(TimeNs::millis(2)));
+    EXPECT_EQ(sim.now(), TimeNs::millis(1));
+    ASSERT_TRUE(sim.advance_inline(TimeNs::millis(2), reserved));
+    order.push_back(1);
+  });
+  EXPECT_EQ(sim.run_all(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Simulator, AdvanceInlineRefusesPastTheEventLimit) {
+  Simulator sim;
+  Budget b;
+  b.max_events = 1;
+  sim.arm_budget(b);
+  bool advanced = true;
+  sim.schedule_at(TimeNs::millis(1),
+                  [&] { advanced = sim.advance_inline(TimeNs::millis(2)); });
+  EXPECT_EQ(sim.run_all(), 1u);
+  EXPECT_FALSE(advanced);
+  EXPECT_EQ(sim.truncation(), TruncationReason::kEventLimit);
+}
+
+/// A 1 ms tick chain interleaved with a 3 ms timer, truncated at `limit`
+/// events. The lazy variant runs tick successors in place when it can; the
+/// eager one re-queues every tick. Returns the ticks that ran.
+std::vector<std::int64_t> run_tick_chain(bool lazy, std::uint64_t limit,
+                                         Simulator& sim) {
+  std::vector<std::int64_t> ticks;
+  Budget b;
+  b.max_events = limit;
+  sim.arm_budget(b);
+  std::function<void()> tick;
+  tick = [&] {
+    TimeNs next;
+    do {
+      ticks.push_back(sim.now().to_millis());
+      next = sim.now() + DurationNs::millis(1);
+    } while (lazy && sim.advance_inline(next));
+    sim.schedule_at(next, [&] { tick(); });
+  };
+  std::function<void()> timer;
+  timer = [&] {
+    ticks.push_back(-sim.now().to_millis());
+    sim.schedule_in(DurationNs::millis(3), [&] { timer(); });
+  };
+  sim.schedule_at(TimeNs::zero(), [&] { tick(); });
+  sim.schedule_at(TimeNs::millis(1), [&] { timer(); });
+  sim.run_until(TimeNs::millis(1000));
+  return ticks;
+}
+
+TEST(Simulator, EventLimitTruncationLandsOnTheSameEventAsEagerChain) {
+  for (const std::uint64_t limit : {1u, 2u, 7u, 50u}) {
+    SCOPED_TRACE(limit);
+    Simulator eager;
+    Simulator lazy;
+    const auto a = run_tick_chain(false, limit, eager);
+    const auto b = run_tick_chain(true, limit, lazy);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(eager.events_executed(), limit);
+    EXPECT_EQ(lazy.events_executed(), limit);
+    EXPECT_EQ(eager.now(), lazy.now());
+    EXPECT_EQ(lazy.truncation(), TruncationReason::kEventLimit);
+  }
 }
 
 TEST(Simulator, DeterministicReplay) {

@@ -45,12 +45,22 @@ void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
   return operator new(n, t);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
+// The deletes stay out of line: inlined into a caller, GCC pairs the free()
+// with the operator new it can see and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -146,14 +156,11 @@ TEST(SteadyStateAllocation, SenderSegmentRingNeverAllocatesWhenWarm) {
   sender_ptr = &sender;
 
   sender.start(TimeNs::zero());
-  // Ring/slab/pool high-water mark. This flow is perfectly periodic (ACK
-  // bursts every ~21 ms ≈ 5 far-band epochs), so its re-armed RTO/delack
-  // timers park in every 5th epoch bucket only — and because one wheel
-  // revolution (256 epochs) shifts that residue class by one, the buckets
-  // reach their per-epoch high-water marks only after ~5 revolutions
-  // (~5.4 s) plus the 1 s RTO lead. Production contexts warm in one run
-  // (reset + rerun replays the same schedule); a single continuous flow
-  // needs the longer warm-up.
+  // Ring/slab/pool high-water mark. This flow is perfectly periodic, so
+  // its re-armed RTO/delack timers drift through the far band's wheel one
+  // residue class per revolution and first reach some buckets only after
+  // the warm-up. Wheel buckets share one node slab, so such a bucket still
+  // finds its storage warm.
   sim.run_until(TimeNs::seconds(7));
 
   const std::size_t before = g_allocations.load();
