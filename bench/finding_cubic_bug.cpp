@@ -30,10 +30,10 @@ int main() {
   const auto panel =
       campaign::evaluate_panel(cfg, {"cubic-ns3bug", "cubic"}, crafted.trace);
   for (const auto& row : panel) {
-    const auto& run = row.run;
-    csv.row(row.label, {run.goodput_mbps(), static_cast<double>(run.cca_drops()),
-                        static_cast<double>(run.cca_retransmissions()),
-                        static_cast<double>(run.rto_count())});
+    const auto& f = row.run.primary();
+    csv.row(row.label, {row.run.goodput_mbps(), static_cast<double>(f.drops),
+                        static_cast<double>(f.retransmissions),
+                        static_cast<double>(f.rto_count)});
   }
   std::printf("# shape check: cubic-ns3bug suffers more drops than the "
               "clamped (Linux-correct) cubic on the identical trace.\n");

@@ -101,7 +101,7 @@ void BM_DumbbellSimulatedSecond(benchmark::State& state) {
   const auto factory = cca::make_factory("reno");
   for (auto _ : state) {
     const auto run = scenario::run_scenario(cfg, factory, {});
-    benchmark::DoNotOptimize(run.cca_segments_delivered());
+    benchmark::DoNotOptimize(run.primary().segments_delivered);
   }
 }
 BENCHMARK(BM_DumbbellSimulatedSecond);
@@ -112,7 +112,7 @@ void BM_DumbbellBbrSimulatedSecond(benchmark::State& state) {
   const auto factory = cca::make_factory("bbr");
   for (auto _ : state) {
     const auto run = scenario::run_scenario(cfg, factory, {});
-    benchmark::DoNotOptimize(run.cca_segments_delivered());
+    benchmark::DoNotOptimize(run.primary().segments_delivered);
   }
 }
 BENCHMARK(BM_DumbbellBbrSimulatedSecond);
@@ -134,7 +134,7 @@ void run_trace_driven_dumbbell(benchmark::State& state, scenario::FuzzMode mode,
   for (auto _ : state) {
     const auto& run = ctx.run(cfg, factory, trace);
     events = run.events;
-    benchmark::DoNotOptimize(run.cca_segments_delivered());
+    benchmark::DoNotOptimize(run.primary().segments_delivered);
   }
   state.counters["events_per_run"] = static_cast<double>(events);
 }
@@ -163,7 +163,7 @@ void BM_Dumbbell4FlowSimulatedSecond(benchmark::State& state) {
   const auto factory = cca::make_factory("reno");
   for (auto _ : state) {
     const auto run = scenario::run_scenario(cfg, factory, {});
-    benchmark::DoNotOptimize(run.cca_segments_delivered());
+    benchmark::DoNotOptimize(run.primary().segments_delivered);
   }
 }
 BENCHMARK(BM_Dumbbell4FlowSimulatedSecond);
@@ -178,7 +178,7 @@ void BM_Dumbbell16FlowSimulatedSecond(benchmark::State& state) {
   const auto factory = cca::make_factory("reno");
   for (auto _ : state) {
     const auto run = scenario::run_scenario(cfg, factory, {});
-    benchmark::DoNotOptimize(run.cca_segments_delivered());
+    benchmark::DoNotOptimize(run.primary().segments_delivered);
   }
 }
 BENCHMARK(BM_Dumbbell16FlowSimulatedSecond);
@@ -193,7 +193,7 @@ void BM_DumbbellFullEventsSimulatedSecond(benchmark::State& state) {
   const auto factory = cca::make_factory("reno");
   for (auto _ : state) {
     const auto run = scenario::run_scenario(cfg, factory, {});
-    benchmark::DoNotOptimize(run.cca_segments_delivered());
+    benchmark::DoNotOptimize(run.primary().segments_delivered);
   }
 }
 BENCHMARK(BM_DumbbellFullEventsSimulatedSecond);

@@ -15,7 +15,7 @@ fi
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_FLAGS[@]}" >/dev/null
 cmake --build "$BUILD_DIR" --target quickstart --target fuzz_fairness \
-  --target fuzz_coverage --target crashsafe_campaign --target ccfuzz_tool \
+  --target fuzz_coverage --target ccfuzz_tool \
   -j"$(nproc)"
 
 OUT="$(mktemp -d)"
@@ -70,11 +70,13 @@ if ! head -1 "$OUT/coverage/archive.txt" | grep -q "ccfuzz-archive v1"; then
 fi
 echo "coverage smoke OK"
 
-# Crash-resume smoke: start a throttled crash-safe campaign, SIGKILL it once
+# Crash-resume smoke: start a throttled in-process campaign, SIGKILL it once
 # the first checkpoint lands, rerun the same command, and require the resumed
 # report to be byte-identical to an uninterrupted reference run.
-"$BUILD_DIR/examples/crashsafe_campaign" "$OUT/crash-ref" 4 16 0 >/dev/null
-"$BUILD_DIR/examples/crashsafe_campaign" "$OUT/crash" 4 16 200 >/dev/null &
+CCFUZZ="$BUILD_DIR/tools/ccfuzz"
+CRASH=(run --workers 0 --generations 4 --population 16)
+"$CCFUZZ" "${CRASH[@]}" --output "$OUT/crash-ref" >/dev/null
+"$CCFUZZ" "${CRASH[@]}" --output "$OUT/crash" --throttle-ms 200 >/dev/null &
 victim_pid=$!
 for _ in $(seq 1 500); do
   [[ -f "$OUT/crash/checkpoint/campaign.ckpt" ]] && break
@@ -86,7 +88,7 @@ if [[ ! -f "$OUT/crash/checkpoint/campaign.ckpt" ]]; then
 fi
 kill -KILL "$victim_pid" 2>/dev/null || true
 wait "$victim_pid" 2>/dev/null || true
-"$BUILD_DIR/examples/crashsafe_campaign" "$OUT/crash" 4 16 0 >/dev/null
+"$CCFUZZ" "${CRASH[@]}" --output "$OUT/crash" >/dev/null
 for f in summary.csv summary.json; do
   if ! cmp -s "$OUT/crash/$f" "$OUT/crash-ref/$f"; then
     echo "crash-resume smoke FAILED: $f diverged after kill+resume" >&2
@@ -99,7 +101,6 @@ echo "crash-resume smoke OK"
 # its workers being SIGKILLed mid-generation — the supervisor restarts it
 # from its shard checkpoint — and still merge a report byte-identical to the
 # single-process run of the same matrix.
-CCFUZZ="$BUILD_DIR/tools/ccfuzz"
 MATRIX=(--ccas reno,cubic,bbr --generations 3 --population 12 --islands 2
         --seed 7 --duration-ms 800)
 "$CCFUZZ" run --workers 0 --output "$OUT/dist-ref" "${MATRIX[@]}" >/dev/null

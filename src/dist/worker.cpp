@@ -37,21 +37,6 @@ class HeartbeatObserver final : public campaign::CampaignObserver {
   int shard_;
 };
 
-/// Slows the lockstep loop down (supervisor-restart tests need a window to
-/// kill a worker mid-campaign).
-class ThrottleObserver final : public campaign::CampaignObserver {
- public:
-  explicit ThrottleObserver(int ms) : ms_(ms) {}
-
-  void on_generation(const campaign::CellConfig&,
-                     const fuzz::GenStats&) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms_));
-  }
-
- private:
-  int ms_;
-};
-
 /// Consults the armed FaultPlan at generation boundaries — the two faults a
 /// worker can suffer as a whole process (hang; die while a named cell is
 /// active). Only registered while a plan is armed, so fault-free campaigns
@@ -71,6 +56,11 @@ class FaultObserver final : public campaign::CampaignObserver {
 };
 
 }  // namespace
+
+void ThrottleObserver::on_generation(const campaign::CellConfig&,
+                                     const fuzz::GenStats&) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(ms_));
+}
 
 int run_worker(const campaign::CampaignConfig& full,
                const WorkerOptions& opt) {
@@ -117,10 +107,8 @@ int run_worker(const campaign::CampaignConfig& full,
     // merge step finds a well-formed summary, and announce it on the feed.
     campaign::CampaignReport empty;
     campaign::write_report(empty, dir);
-    if (opt.jsonl_stdout) {
-      jsonl.on_campaign_begin({});
-      jsonl.on_campaign_end(empty);
-    }
+    jsonl.on_campaign_begin({});
+    jsonl.on_campaign_end(empty);
     return 0;
   }
 
@@ -128,10 +116,8 @@ int run_worker(const campaign::CampaignConfig& full,
   HeartbeatObserver heartbeat(std::cout, opt.shard);
   ThrottleObserver throttle(opt.throttle_ms);
   FaultObserver faults;
-  if (opt.jsonl_stdout) {
-    campaign.add_observer(&jsonl);
-    campaign.add_observer(&heartbeat);
-  }
+  campaign.add_observer(&jsonl);
+  campaign.add_observer(&heartbeat);
   if (opt.throttle_ms > 0) campaign.add_observer(&throttle);
   // Last: a cell-crash must land *after* the cell's progress lines reached
   // stdout, so the supervisor attributes the death to the right cell.

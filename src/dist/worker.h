@@ -33,16 +33,28 @@ struct WorkerOptions {
   /// CampaignConfig::checkpoint_every). Every worker checkpoints by default:
   /// supervisor restarts depend on it.
   int checkpoint_every = 1;
-  /// Sleep after every generation event (test hook — lets kill-mid-campaign
-  /// tests land reliably; 0 for real use).
+  /// Sleep after every generation event (see ThrottleObserver).
   int throttle_ms = 0;
-  /// Stream shard-tagged JSONL progress (and heartbeats) to stdout.
-  bool jsonl_stdout = true;
   /// Cells this worker owns but must not run — quarantined by the
   /// supervisor after repeated deaths. Dropping a cell invalidates the
   /// shard checkpoint's cell count, so the survivors restart fresh; that is
   /// the accepted cost of isolating a poison cell.
   std::vector<std::string> skip_cells;
+};
+
+/// Sleeps `ms` after every generation event — the `--throttle-ms` test hook
+/// of both campaign runners (`ccfuzz worker` and `ccfuzz run --workers 0`),
+/// which gives kill-mid-campaign tests a window to land in. Register it only
+/// for ms > 0; real campaigns run unthrottled.
+class ThrottleObserver final : public campaign::CampaignObserver {
+ public:
+  explicit ThrottleObserver(int ms) : ms_(ms) {}
+
+  void on_generation(const campaign::CellConfig& cell,
+                     const fuzz::GenStats& gs) override;
+
+ private:
+  int ms_;
 };
 
 /// Runs the worker's subset of `full` (the whole campaign's config — every

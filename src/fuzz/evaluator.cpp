@@ -59,12 +59,12 @@ void TraceEvaluator::evaluate_on(scenario::RunContext& ctx,
     if (quarantine_) quarantine_->record(t, reason);
   }
   e.goodput_mbps = run.goodput_mbps();
-  e.cca_sent = run.cca_sent();
-  e.cca_delivered = run.cca_segments_delivered();
-  e.cca_drops = run.cca_drops();
+  e.cca_sent = run.primary().sent;
+  e.cca_delivered = run.primary().segments_delivered;
+  e.cca_drops = run.primary().drops;
   e.cross_sent = run.cross_sent;
   e.cross_drops = run.cross_drops;
-  e.rto_count = run.rto_count();
+  e.rto_count = run.primary().rto_count;
   e.p10_delay_s = run.queue_delay_percentile_s(10.0);
   e.stalled = run.stalled(DurationNs::seconds(1));
   e.flow_goodput_mbps.clear();

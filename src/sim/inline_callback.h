@@ -36,6 +36,13 @@ class InlineCallback {
                   "over-aligned closures are not supported");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
                   "closures must be nothrow-move-constructible");
+    if constexpr (std::is_trivially_copyable_v<Fn> && sizeof(Fn) < Capacity) {
+      // relocate_from() copies all Capacity bytes of a trivially copyable
+      // closure; zero the bytes the closure leaves unwritten (its tail, and
+      // the one byte of a capture-less lambda) so that copy reads no
+      // uninitialised memory.
+      std::memset(buf_, 0, Capacity);
+    }
     ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
     ops_ = &kOps<Fn>;
   }

@@ -302,6 +302,52 @@ Result<TriageStats> triage_report(
   return stats;
 }
 
+Result<CheckedBundle> check_bundle(
+    const std::string& dir, const std::vector<campaign::CellConfig>& cells) {
+  Result<BundleManifest> m = load_manifest(dir);
+  if (!m) return m.error();
+  const std::string name = fs::path(dir).filename().string();
+  if (m->id != name) {
+    return Error::corrupt("manifest id " + m->id +
+                          " does not match its directory " + name);
+  }
+  const auto load = [&](const char* file) -> Result<trace::Trace> {
+    Result<trace::Trace> t = trace::try_load_trace(dir + "/" + file);
+    if (!t) return Error{t.error().code, file + (": " + t.error().message)};
+    return t;
+  };
+  Result<trace::Trace> original = load(kOriginalTraceFile);
+  if (!original) return original.error();
+  Result<trace::Trace> minimized = load(kMinimizedTraceFile);
+  if (!minimized) return minimized.error();
+  if (original->stamps.size() != m->original_events ||
+      minimized->stamps.size() != m->minimized_events) {
+    return Error::corrupt(
+        "traces hold " + std::to_string(original->stamps.size()) + "/" +
+        std::to_string(minimized->stamps.size()) +
+        " (original/minimized) event(s), manifest says " +
+        std::to_string(m->original_events) + "/" +
+        std::to_string(m->minimized_events));
+  }
+  if (m->minimized_events > m->original_events) {
+    return Error::corrupt("minimized trace larger than original");
+  }
+  CheckedBundle out{std::move(*m), std::move(*minimized), nullptr};
+  for (const campaign::CellConfig& c : cells) {
+    if (c.name != out.manifest.cell) continue;
+    const std::string have =
+        trace::hash_hex(campaign::scenario_key(c.scenario));
+    if (have != out.manifest.scenario_hash) {
+      return Error::mismatch("scenario drift: matrix builds " + have +
+                             " for cell " + c.name + ", bundle recorded " +
+                             out.manifest.scenario_hash);
+    }
+    out.cell = &c;
+    break;
+  }
+  return out;
+}
+
 Result<ReplayStats> replay_findings(
     const std::vector<campaign::CellConfig>& cells,
     const std::string& findings_dir, std::FILE* log) {
@@ -325,58 +371,39 @@ Result<ReplayStats> replay_findings(
       ++stats.broken;
       logf(log, "replay: %s BROKEN: %s\n", dir.c_str(), why.c_str());
     };
-    Result<BundleManifest> m = load_manifest(dir);
-    if (!m) {
-      broken(m.error().message);
+    Result<CheckedBundle> b = check_bundle(dir, cells);
+    if (!b) {
+      broken(b.error().message);
       continue;
     }
-    const campaign::CellConfig* cell = nullptr;
-    for (const campaign::CellConfig& c : cells) {
-      if (c.name == m->cell) {
-        cell = &c;
-        break;
-      }
-    }
-    if (cell == nullptr) {
-      broken("cell '" + m->cell +
+    const BundleManifest& m = b->manifest;
+    if (b->cell == nullptr) {
+      broken("cell '" + m.cell +
              "' not in this matrix — pass the campaign's matrix flags");
-      continue;
-    }
-    const std::string have =
-        trace::hash_hex(campaign::scenario_key(cell->scenario));
-    if (have != m->scenario_hash) {
-      broken("scenario drift: matrix builds " + have + ", bundle recorded " +
-             m->scenario_hash);
-      continue;
-    }
-    Result<trace::Trace> t =
-        trace::try_load_trace(dir + "/" + kMinimizedTraceFile);
-    if (!t) {
-      broken(t.error().message);
       continue;
     }
     // Replay under the (possibly duration-shrunk) scenario the bundle
     // recorded; everything else comes from the matrix cell.
-    campaign::CellConfig rc = *cell;
-    rc.scenario.duration = TimeNs::millis(m->duration_ms);
+    campaign::CellConfig rc = *b->cell;
+    rc.scenario.duration = TimeNs::millis(m.duration_ms);
     const fuzz::TraceEvaluator ev = campaign::make_evaluator(rc);
-    const fuzz::Evaluation e = ev.evaluate(*t);
+    const fuzz::Evaluation e = ev.evaluate(b->minimized);
     bool pass;
-    if (m->expect_quarantined) {
+    if (m.expect_quarantined) {
       pass = e.quarantined;
     } else {
       pass = !e.quarantined &&
-             std::abs(e.score.total() - m->expected_score) <= m->tolerance;
+             std::abs(e.score.total() - m.expected_score) <= m.tolerance;
     }
     if (pass) {
       ++stats.ok;
-      logf(log, "replay: %s ok (score %.6g)\n", m->id.c_str(),
+      logf(log, "replay: %s ok (score %.6g)\n", m.id.c_str(),
            e.score.total());
     } else {
       ++stats.drifted;
       logf(log, "replay: %s DRIFTED: score %.6g, expected %.6g +- %.3g%s\n",
-           m->id.c_str(), e.score.total(), m->expected_score, m->tolerance,
-           m->expect_quarantined ? " (quarantine not reproduced)" : "");
+           m.id.c_str(), e.score.total(), m.expected_score, m.tolerance,
+           m.expect_quarantined ? " (quarantine not reproduced)" : "");
     }
   }
   return stats;

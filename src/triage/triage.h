@@ -19,6 +19,8 @@
 //
 // replay_findings() is the regression half: re-evaluate every bundle's
 // minimized trace under a freshly built matrix and fail on any drift.
+// check_bundle() is the one definition of a sound bundle; replay and
+// `ccfuzz doctor` both apply it.
 #pragma once
 
 #include <cstdio>
@@ -28,6 +30,7 @@
 #include "campaign/campaign.h"
 #include "fuzz/evaluator.h"
 #include "trace/trace.h"
+#include "triage/bundle.h"
 #include "util/error.h"
 
 namespace ccfuzz::triage {
@@ -86,17 +89,37 @@ Result<TriageStats> triage_report(const std::vector<campaign::CellConfig>& cells
                                   const std::string& report_dir,
                                   const TriageConfig& cfg);
 
+/// A bundle that passed check_bundle(): its manifest and minimized trace,
+/// and the matrix cell it came from.
+struct CheckedBundle {
+  BundleManifest manifest;
+  trace::Trace minimized;
+  /// The cell of `cells` named by the manifest; null when the matrix has no
+  /// such cell, in which case the scenario hash went unchecked.
+  const campaign::CellConfig* cell = nullptr;
+};
+
+/// Checks the bundle in `dir` against the matrix `cells`: the manifest
+/// parses, its id names the directory, both traces load with the event
+/// counts it records, the minimized trace is no larger than the original,
+/// and the manifest's cell (when `cells` has it) builds the scenario hash the
+/// bundle recorded. Errors: load_manifest's codes for the manifest,
+/// try_load_trace's for either trace, kCorrupt for bookkeeping that
+/// contradicts the files, kMismatch for scenario drift.
+Result<CheckedBundle> check_bundle(
+    const std::string& dir, const std::vector<campaign::CellConfig>& cells);
+
 struct ReplayStats {
   int bundles = 0;
   int ok = 0;
   int drifted = 0;  ///< replayed score left the recorded tolerance band
-  int broken = 0;   ///< unreadable bundle / unknown cell / scenario drift
+  int broken = 0;   ///< check_bundle() refused it, or its cell is unknown
 };
 
 /// Replays every bundle under `findings_dir` against the matrix `cells`:
-/// rebuilds each bundle's evaluator, re-runs the minimized trace, and
-/// compares against the recorded expectation. A missing findings directory
-/// is an empty corpus (0 bundles), not an error.
+/// checks it (check_bundle), rebuilds its evaluator, re-runs the minimized
+/// trace, and compares against the recorded expectation. A missing findings
+/// directory is an empty corpus (0 bundles), not an error.
 Result<ReplayStats> replay_findings(
     const std::vector<campaign::CellConfig>& cells,
     const std::string& findings_dir, std::FILE* log = nullptr);

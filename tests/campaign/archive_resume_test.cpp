@@ -3,7 +3,6 @@
 // (resume_dir) reloads it and keeps filling cells instead of starting cold.
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -11,9 +10,13 @@
 #include "campaign/report.h"
 #include "fuzz/elite_archive.h"
 #include "fuzz/score.h"
+#include "test_support.h"
 
 namespace ccfuzz::campaign {
 namespace {
+
+namespace fs = std::filesystem;
+using CampaignArchive = test::ScratchDirTest;
 
 CellConfig coverage_cell(std::uint64_t seed) {
   CellConfig cell;
@@ -30,10 +33,8 @@ CellConfig coverage_cell(std::uint64_t seed) {
   return cell;
 }
 
-TEST(CampaignArchive, PersistsAndResumesAcrossCampaigns) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "ccfuzz_archive_resume";
-  fs::remove_all(dir);
+TEST_F(CampaignArchive, PersistsAndResumesAcrossCampaigns) {
+  const fs::path dir = base_ / "out";
 
   std::size_t first_filled = 0;
   {
@@ -73,13 +74,10 @@ TEST(CampaignArchive, PersistsAndResumesAcrossCampaigns) {
   // at least the original occupancy.
   EXPECT_GE(fuzz::EliteArchive::load_file(archive_path.string()).filled(),
             first_filled);
-  fs::remove_all(dir);
 }
 
-TEST(CampaignArchive, MissingResumeFileIsAColdStart) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "ccfuzz_archive_cold";
-  fs::remove_all(dir);
+TEST_F(CampaignArchive, MissingResumeFileIsAColdStart) {
+  const fs::path dir = base_ / "absent";
 
   CampaignConfig cfg;
   cfg.add_cell(coverage_cell(1)).resume_dir(dir.string());
@@ -90,13 +88,11 @@ TEST(CampaignArchive, MissingResumeFileIsAColdStart) {
   EXPECT_GT(report.cells.front().archive->filled(), 0u);
 }
 
-TEST(CampaignArchive, CorruptResumeArchiveDegradesToFreshNotAbort) {
+TEST_F(CampaignArchive, CorruptResumeArchiveDegradesToFreshNotAbort) {
   // A crash can leave a partial or garbage archive.txt in the report tree.
   // Resuming over it must warn and start that cell's archive cold — never
   // throw out of the campaign constructor or run().
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "ccfuzz_archive_corrupt";
-  fs::remove_all(dir);
+  const fs::path dir = base_ / "out";
 
   {
     CampaignConfig cfg;
@@ -120,13 +116,10 @@ TEST(CampaignArchive, CorruptResumeArchiveDegradesToFreshNotAbort) {
   const auto& report = c.run();
   ASSERT_NE(report.cells.front().archive, nullptr);
   EXPECT_GT(report.cells.front().archive->filled(), 0u);  // cold start filled
-  fs::remove_all(dir);
 }
 
-TEST(CampaignArchive, PartialResumeArchiveDegradesToFreshNotAbort) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "ccfuzz_archive_partial";
-  fs::remove_all(dir);
+TEST_F(CampaignArchive, PartialResumeArchiveDegradesToFreshNotAbort) {
+  const fs::path dir = base_ / "out";
 
   std::size_t first_filled = 0;
   {
@@ -138,13 +131,7 @@ TEST(CampaignArchive, PartialResumeArchiveDegradesToFreshNotAbort) {
   const fs::path archive_path =
       dir / "reno.traffic.low-utilization" / "archive.txt";
   // Truncate to half: the tail entry is cut mid-genome.
-  std::string bytes;
-  {
-    std::ifstream is(archive_path, std::ios::binary);
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    bytes = ss.str();
-  }
+  const std::string bytes = test::slurp(archive_path);
   ASSERT_GT(bytes.size(), 2u);
   {
     std::ofstream os(archive_path, std::ios::binary);
@@ -160,10 +147,9 @@ TEST(CampaignArchive, PartialResumeArchiveDegradesToFreshNotAbort) {
   ASSERT_NE(report.cells.front().archive, nullptr);
   EXPECT_GT(report.cells.front().archive->filled(), 0u);
   (void)first_filled;
-  fs::remove_all(dir);
 }
 
-TEST(CampaignArchive, ProbelessCellsCarryNoArchive) {
+TEST_F(CampaignArchive, ProbelessCellsCarryNoArchive) {
   CellConfig cell = coverage_cell(1);
   cell.ga.search = fuzz::SearchMode::kScore;  // cells() won't arm coverage
   CampaignConfig cfg;

@@ -439,7 +439,7 @@ TEST(Panel, ParallelAndSerialAgree) {
   ASSERT_EQ(par.size(), ser.size());
   for (std::size_t i = 0; i < par.size(); ++i) {
     EXPECT_DOUBLE_EQ(par[i].run.goodput_mbps(), ser[i].run.goodput_mbps());
-    EXPECT_EQ(par[i].run.cca_sent(), ser[i].run.cca_sent());
+    EXPECT_EQ(par[i].run.primary().sent, ser[i].run.primary().sent);
   }
 }
 

@@ -12,14 +12,13 @@
 // coverage restore is cheap).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "campaign/campaign.h"
+#include "test_support.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -27,6 +26,7 @@ namespace ccfuzz::campaign {
 namespace {
 
 namespace fs = std::filesystem;
+using test::slurp;
 
 CampaignConfig tiny_campaign(const std::string& dir, bool coverage) {
   scenario::ScenarioConfig sc;
@@ -54,34 +54,19 @@ CampaignConfig tiny_campaign(const std::string& dir, bool coverage) {
   return cfg;
 }
 
-std::string slurp(const fs::path& p) {
-  std::ifstream is(p, std::ios::binary);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
-
-class CheckpointCodecTest : public ::testing::TestWithParam<bool> {
+class CheckpointCodecTest : public test::ScratchDirTest,
+                            public ::testing::WithParamInterface<bool> {
  protected:
   void SetUp() override {
     // Each refused variant logs a degrade warning; thousands would drown
     // the test output.
     set_log_level(LogLevel::kError);
-    // One directory per test: ctest runs the cases in parallel processes.
-    std::string name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::replace(name.begin(), name.end(), '/', '_');
-    dir_ = (fs::temp_directory_path() / ("ccfuzz_codec_" + name)).string();
-    fs::remove_all(dir_);
     Campaign c(tiny_campaign(dir_, coverage()));
     c.run();
     original_ = slurp(head());
     ASSERT_GT(original_.size(), 1000u);
   }
-  void TearDown() override {
-    set_log_level(LogLevel::kWarn);
-    fs::remove_all(dir_);
-  }
+  void TearDown() override { set_log_level(LogLevel::kWarn); }
 
   static bool coverage() { return GetParam(); }
   std::string head() const { return dir_ + "/checkpoint/campaign.ckpt"; }
@@ -99,7 +84,7 @@ class CheckpointCodecTest : public ::testing::TestWithParam<bool> {
     return true;
   }
 
-  std::string dir_;
+  const std::string dir_ = base_.string();
   std::string original_;
 };
 

@@ -11,17 +11,18 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 
 #include "fuzz/state_io.h"
+#include "test_support.h"
 #include "util/record_io.h"
 
 namespace ccfuzz::campaign {
 namespace {
 
 namespace fs = std::filesystem;
+using test::slurp;
 
 fuzz::GaConfig tiny_ga() {
   fuzz::GaConfig ga;
@@ -46,13 +47,6 @@ CampaignConfig tiny_campaign(const std::string& dir) {
       .output_dir(dir)
       .checkpoint_every(1);
   return cfg;
-}
-
-std::string slurp(const fs::path& p) {
-  std::ifstream is(p, std::ios::binary);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
 }
 
 void spit(const fs::path& p, std::string_view bytes) {
@@ -110,20 +104,10 @@ class HeadAtCellEnd final : public CampaignObserver {
   std::string path_;
 };
 
-class CheckpointRotationTest : public ::testing::Test {
+class CheckpointRotationTest : public test::ScratchDirTest {
  protected:
-  void SetUp() override {
-    reset_stop_flag();
-    base_ = fs::temp_directory_path() /
-            ("ccfuzz_rot_" +
-             std::string(
-                 ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    fs::remove_all(base_);
-  }
-  void TearDown() override {
-    reset_stop_flag();
-    fs::remove_all(base_);
-  }
+  void SetUp() override { reset_stop_flag(); }
+  void TearDown() override { reset_stop_flag(); }
 
   /// Runs the reference campaign and an interrupted one (stopped after 3
   /// generation events), leaving head + .prev checkpoints in `dir`.
@@ -156,8 +140,6 @@ class CheckpointRotationTest : public ::testing::Test {
   static std::string head(const std::string& dir) {
     return dir + "/checkpoint/campaign.ckpt";
   }
-
-  fs::path base_;
 };
 
 TEST_F(CheckpointRotationTest, RotationKeepsAValidPreviousSnapshot) {

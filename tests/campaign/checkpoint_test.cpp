@@ -8,15 +8,16 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "campaign/report.h"
+#include "test_support.h"
 
 namespace ccfuzz::campaign {
 namespace {
 
 namespace fs = std::filesystem;
+using test::slurp;
 
 fuzz::GaConfig tiny_ga() {
   fuzz::GaConfig ga;
@@ -43,13 +44,6 @@ CampaignConfig tiny_campaign(const std::string& dir) {
   return cfg;
 }
 
-std::string slurp(const fs::path& p) {
-  std::ifstream is(p, std::ios::binary);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
-
 /// Raises the campaign stop flag after `n` generation events.
 class StopAfterObserver final : public CampaignObserver {
  public:
@@ -62,22 +56,10 @@ class StopAfterObserver final : public CampaignObserver {
   int remaining_;
 };
 
-class CheckpointTest : public ::testing::Test {
+class CheckpointTest : public test::ScratchDirTest {
  protected:
-  void SetUp() override {
-    reset_stop_flag();
-    base_ = fs::temp_directory_path() /
-            ("ccfuzz_ckpt_" +
-             std::string(
-                 ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    fs::remove_all(base_);
-  }
-  void TearDown() override {
-    reset_stop_flag();
-    fs::remove_all(base_);
-  }
-
-  fs::path base_;
+  void SetUp() override { reset_stop_flag(); }
+  void TearDown() override { reset_stop_flag(); }
 };
 
 TEST_F(CheckpointTest, CheckpointFileAppearsAndCampaignCompletes) {

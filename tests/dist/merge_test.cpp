@@ -4,6 +4,7 @@
 // shard trees surface as typed Errors, never crashes.
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,18 +18,13 @@
 #include "dist/worker.h"
 #include "fuzz/elite_archive.h"
 #include "fuzz/score.h"
+#include "test_support.h"
 
 namespace ccfuzz::dist {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string slurp(const fs::path& p) {
-  std::ifstream is(p, std::ios::binary);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
+using test::slurp;
 
 void write_text(const fs::path& p, const std::string& body) {
   fs::create_directories(p.parent_path());
@@ -36,6 +32,18 @@ void write_text(const fs::path& p, const std::string& body) {
   os << body;
   ASSERT_TRUE(os) << p;
 }
+
+/// Captures std::cout for its lifetime: run_worker streams its shard-tagged
+/// JSONL feed there, which these tests do not read.
+class CaptureCout {
+ public:
+  CaptureCout() : saved_(std::cout.rdbuf(sink_.rdbuf())) {}
+  ~CaptureCout() { std::cout.rdbuf(saved_); }
+
+ private:
+  std::ostringstream sink_;
+  std::streambuf* saved_;
+};
 
 /// The campaign matrix both runs share: three coverage-guided cells (three
 /// CCAs) so the plan splits across two shards and every cell produces an
@@ -61,21 +69,7 @@ campaign::CampaignConfig matrix() {
   return cfg;
 }
 
-class MergeTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    base_ = fs::temp_directory_path() /
-            ("ccfuzz_merge_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()));
-    fs::remove_all(base_);
-    fs::create_directories(base_);
-  }
-  void TearDown() override { fs::remove_all(base_); }
-
-  fs::path base_;
-};
+using MergeTest = test::ScratchDirTest;
 
 TEST_F(MergeTest, TwoShardRunMergesByteIdenticalToSingleProcess) {
   // Single-process reference.
@@ -97,7 +91,7 @@ TEST_F(MergeTest, TwoShardRunMergesByteIdenticalToSingleProcess) {
     w.shard = k;
     w.num_shards = 2;
     w.root = root;
-    w.jsonl_stdout = false;
+    CaptureCout quiet;
     ASSERT_EQ(run_worker(matrix(), w), 0) << "shard " << k;
   }
 
@@ -142,7 +136,7 @@ TEST_F(MergeTest, EmptyShardIsACompleteShard) {
     w.shard = k;
     w.num_shards = 2;
     w.root = root;
-    w.jsonl_stdout = false;
+    CaptureCout quiet;
     ASSERT_EQ(run_worker(one, w), 0);
   }
   const Result<MergeStats> stats = merge_reports(root, plan, root);

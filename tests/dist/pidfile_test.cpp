@@ -12,23 +12,18 @@
 #include <fstream>
 #include <string>
 
+#include "test_support.h"
+
 namespace ccfuzz::dist {
 namespace {
 
 namespace fs = std::filesystem;
 
-class PidFileTest : public ::testing::Test {
+class PidFileTest : public test::ScratchDirTest {
  protected:
   void SetUp() override {
-    base_ = fs::temp_directory_path() /
-            ("ccfuzz_pid_" +
-             std::string(
-                 ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    fs::remove_all(base_);
-    fs::create_directories(base_);
     path_ = (base_ / "worker.pid").string();
   }
-  void TearDown() override { fs::remove_all(base_); }
 
   void write_pid(const std::string& text) {
     std::ofstream(path_, std::ios::binary) << text;
@@ -42,7 +37,6 @@ class PidFileTest : public ::testing::Test {
                  : std::string();
   }
 
-  fs::path base_;
   std::string path_;
 };
 

@@ -19,30 +19,22 @@
 #include <vector>
 
 #include "campaign/campaign.h"
+#include "test_support.h"
 
 namespace ccfuzz::dist {
 namespace {
 
 namespace fs = std::filesystem;
 
-class SupervisorBackoffTest : public ::testing::Test {
+class SupervisorBackoffTest : public test::ScratchDirTest {
  protected:
-  void SetUp() override {
-    campaign::reset_stop_flag();
-    base_ = fs::temp_directory_path() /
-            ("ccfuzz_backoff_" +
-             std::string(
-                 ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    fs::remove_all(base_);
-    fs::create_directories(base_);
-  }
+  void SetUp() override { campaign::reset_stop_flag(); }
   void TearDown() override {
     campaign::reset_stop_flag();
     if (devnull_) {
       std::fclose(devnull_);
       devnull_ = nullptr;
     }
-    fs::remove_all(base_);
   }
 
   SupervisorOptions crash_loop_options() {
@@ -101,7 +93,6 @@ class SupervisorBackoffTest : public ::testing::Test {
     return out;
   }
 
-  fs::path base_;
   double fake_now_ = 0.0;
   std::FILE* devnull_ = nullptr;
 };

@@ -5,16 +5,11 @@
 // graceful path: SIGTERM to the supervisor drains the workers, leaves
 // resumable shard checkpoints, and rerunning the same command finishes the
 // campaign.
-//
-// Spawns children with fork+exec (fork without exec is unsafe once the test
-// binary's thread pool exists).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <csignal>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,18 +18,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "test_support.h"
+
 namespace {
 
 namespace fs = std::filesystem;
-
-const char* ccfuzz_binary() { return CCFUZZ_TOOLS_DIR "/ccfuzz"; }
-
-std::string slurp(const fs::path& p) {
-  std::ifstream is(p, std::ios::binary);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
+using namespace ccfuzz::test;
 
 /// fork+execs `ccfuzz run` with the shared tiny matrix; returns the pid.
 pid_t spawn_run(const std::string& out_dir, const char* workers,
@@ -50,12 +39,6 @@ pid_t spawn_run(const std::string& out_dir, const char* workers,
     std::_Exit(127);
   }
   return pid;
-}
-
-int wait_exit(pid_t pid) {
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  return status;
 }
 
 /// Polls until some shard has both a live worker pid file and its first
@@ -78,35 +61,8 @@ pid_t wait_for_killable_worker(const fs::path& root, int ms) {
   return -1;
 }
 
-void expect_whole_json_lines(const fs::path& feed) {
-  std::ifstream is(feed);
-  std::string line;
-  bool any = false;
-  while (std::getline(is, line)) {
-    any = true;
-    ASSERT_FALSE(line.empty());
-    EXPECT_EQ(line.front(), '{') << line;
-    EXPECT_EQ(line.back(), '}') << line;
-  }
-  EXPECT_TRUE(any) << feed << " is empty";
-}
-
-class SupervisorRestartTest : public ::testing::Test {
+class SupervisorRestartTest : public CliTest {
  protected:
-  void SetUp() override {
-    if (!fs::exists(ccfuzz_binary())) {
-      GTEST_SKIP() << "ccfuzz CLI not built at " << ccfuzz_binary();
-    }
-    base_ = fs::temp_directory_path() /
-            ("ccfuzz_supervisor_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()));
-    fs::remove_all(base_);
-    fs::create_directories(base_);
-  }
-  void TearDown() override { fs::remove_all(base_); }
-
   /// The single-process reference report for the shared matrix.
   std::string run_reference() {
     const std::string ref = (base_ / "ref").string();
@@ -120,17 +76,12 @@ class SupervisorRestartTest : public ::testing::Test {
 
   void expect_matches_reference(const std::string& dir,
                                 const std::string& ref) {
-    for (const char* rel : {"summary.csv", "summary.json",
-                            "reno.traffic.low-utilization/history.csv",
-                            "cubic.traffic.low-utilization/history.csv",
-                            "bbr.traffic.low-utilization/history.csv"}) {
-      ASSERT_TRUE(fs::exists(fs::path(dir) / rel)) << rel;
-      EXPECT_EQ(slurp(fs::path(dir) / rel), slurp(fs::path(ref) / rel))
-          << rel << " diverged from the single-process reference";
-    }
+    expect_same_files(dir, ref,
+                      {"summary.csv", "summary.json",
+                       "reno.traffic.low-utilization/history.csv",
+                       "cubic.traffic.low-utilization/history.csv",
+                       "bbr.traffic.low-utilization/history.csv"});
   }
-
-  fs::path base_;
 };
 
 TEST_F(SupervisorRestartTest, SigkilledWorkerIsRestartedAndMergeMatches) {

@@ -3,50 +3,26 @@
 // crash-at-checkpoint, poison-cell crash loops, and hangs — must all degrade
 // to a completed campaign, and whenever every cell completes the merged
 // report must be byte-identical to the fault-free reference run.
-//
-// Spawns children with fork+exec (fork without exec is unsafe once the test
-// binary's thread pool exists); the fault plan rides the child's environment
-// so the real binary arms it.
+// The fault plan rides the child's environment so the real binary arms it.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "test_support.h"
+
 namespace {
 
 namespace fs = std::filesystem;
+using namespace ccfuzz::test;
 
-const char* ccfuzz_binary() { return CCFUZZ_TOOLS_DIR "/ccfuzz"; }
-
-std::string slurp(const fs::path& p) {
-  std::ifstream is(p, std::ios::binary);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
-
-class ChaosE2eTest : public ::testing::Test {
+class ChaosE2eTest : public CliTest {
  protected:
-  void SetUp() override {
-    if (!fs::exists(ccfuzz_binary())) {
-      GTEST_SKIP() << "ccfuzz CLI not built at " << ccfuzz_binary();
-    }
-    base_ = fs::temp_directory_path() /
-            ("ccfuzz_chaos_" +
-             std::string(
-                 ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    fs::remove_all(base_);
-    fs::create_directories(base_);
-  }
-  void TearDown() override { fs::remove_all(base_); }
-
   /// fork+execs `ccfuzz run` over the shared tiny matrix with `fault_plan`
   /// in the child's environment (empty = fault-free); returns the exit code
   /// (-1 when the child died of a signal).
@@ -74,8 +50,7 @@ class ChaosE2eTest : public ::testing::Test {
       }
       std::_Exit(127);
     }
-    int status = 0;
-    ::waitpid(pid, &status, 0);
+    const int status = wait_exit(pid);
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   }
 
@@ -88,22 +63,17 @@ class ChaosE2eTest : public ::testing::Test {
 
   void expect_matches_reference(const std::string& dir,
                                 const std::string& ref) {
-    for (const char* rel : {"summary.csv", "summary.json",
-                            "reno.traffic.low-utilization/history.csv",
-                            "cubic.traffic.low-utilization/history.csv",
-                            "bbr.traffic.low-utilization/history.csv"}) {
-      ASSERT_TRUE(fs::exists(fs::path(dir) / rel)) << rel;
-      EXPECT_EQ(slurp(fs::path(dir) / rel), slurp(fs::path(ref) / rel))
-          << rel << " diverged from the fault-free reference";
-    }
+    expect_same_files(dir, ref,
+                      {"summary.csv", "summary.json",
+                       "reno.traffic.low-utilization/history.csv",
+                       "cubic.traffic.low-utilization/history.csv",
+                       "bbr.traffic.low-utilization/history.csv"});
   }
 
   bool feed_has(const std::string& dir, const std::string& needle) {
     return slurp(fs::path(dir) / "progress.jsonl").find(needle) !=
            std::string::npos;
   }
-
-  fs::path base_;
 };
 
 TEST_F(ChaosE2eTest, CrashAtCheckpointRestartsAndMatchesReference) {

@@ -5,23 +5,17 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "faultinject/fault_plan.h"
+#include "test_support.h"
 #include "util/fs.h"
 
 namespace ccfuzz {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string slurp(const fs::path& p) {
-  std::ifstream is(p, std::ios::binary);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
+using test::slurp;
 
 void arm_spec(const std::string& spec) {
   Result<faultinject::FaultPlan> plan = faultinject::FaultPlan::parse(spec);
@@ -29,30 +23,20 @@ void arm_spec(const std::string& spec) {
   faultinject::arm(std::move(*plan));
 }
 
-class FaultFsTest : public ::testing::Test {
+class FaultFsTest : public test::ScratchDirTest {
  protected:
   void SetUp() override {
     faultinject::disarm();
     faultinject::set_role("");
-    base_ = fs::temp_directory_path() /
-            ("ccfuzz_faultfs_" +
-             std::string(
-                 ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    fs::remove_all(base_);
-    fs::create_directories(base_);
     target_ = (base_ / "file.txt").string();
   }
-  void TearDown() override {
-    faultinject::disarm();
-    fs::remove_all(base_);
-  }
+  void TearDown() override { faultinject::disarm(); }
 
   /// Seeds the target with known-good content a fault must not disturb.
   void seed_target() {
     ASSERT_FALSE(write_file_atomic(target_, "old complete content\n"));
   }
 
-  fs::path base_;
   std::string target_;
 };
 

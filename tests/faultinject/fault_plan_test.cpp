@@ -9,31 +9,24 @@
 #include <filesystem>
 #include <string>
 
+#include "test_support.h"
+
 namespace ccfuzz::faultinject {
 namespace {
 
 namespace fs = std::filesystem;
 
-class FaultPlanTest : public ::testing::Test {
+class FaultPlanTest : public test::ScratchDirTest {
  protected:
   void SetUp() override {
     disarm();
     set_role("");
-    base_ = fs::temp_directory_path() /
-            ("ccfuzz_fault_" +
-             std::string(
-                 ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    fs::remove_all(base_);
-    fs::create_directories(base_);
   }
   void TearDown() override {
     disarm();
     set_role("");
     ::unsetenv("CCFUZZ_FAULT_PLAN");
-    fs::remove_all(base_);
   }
-
-  fs::path base_;
 };
 
 TEST_F(FaultPlanTest, ParseRoundTripsThroughToString) {

@@ -1,58 +1,45 @@
-// End-to-end crash safety: run the crashsafe_campaign example binary, kill it
-// mid-campaign (SIGKILL — no chance to clean up), rerun the same command, and
-// verify the resumed campaign converges to the same report tree as one that
-// was never interrupted. Also pins the graceful path: SIGTERM exits 0 with a
+// End-to-end crash safety of the in-process campaign: run
+// `ccfuzz run --workers 0`, kill it mid-campaign (SIGKILL — no chance to
+// clean up), rerun the same command, and verify the resumed campaign
+// converges to the same report tree as one that was never interrupted. Also
+// pins the graceful path: SIGTERM exits with the interrupted code (3) with a
 // checkpoint on disk and a parseable JSONL progress log.
-//
-// Spawns the child with fork+exec (fork without exec is unsafe here: the test
-// binary's thread pool does not survive a fork).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
+
+#include "dist/worker.h"
+#include "test_support.h"
 
 namespace {
 
 namespace fs = std::filesystem;
+using namespace ccfuzz::test;
 
-const char* binary_path() { return CCFUZZ_EXAMPLES_DIR "/crashsafe_campaign"; }
-
-std::string slurp(const fs::path& p) {
-  std::ifstream is(p, std::ios::binary);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
-
-/// fork+execs the campaign driver; returns the child pid (or -1).
+/// fork+execs `ccfuzz run --workers 0` on the CLI's default matrix (reno and
+/// cubic, traffic mode, low-utilization, seed 11); returns the child pid (or
+/// -1).
 pid_t spawn_campaign(const std::string& dir, const char* generations,
                      const char* population, const char* throttle_ms) {
   const pid_t pid = ::fork();
   if (pid == 0) {
     // Quiet the child's progress spam; keep stderr for real failures.
     ::freopen("/dev/null", "w", stdout);
-    ::execl(binary_path(), "crashsafe_campaign", dir.c_str(), generations,
-            population, throttle_ms, static_cast<char*>(nullptr));
+    ::execl(ccfuzz_binary(), "ccfuzz", "run", "--workers", "0", "--output",
+            dir.c_str(), "--generations", generations, "--population",
+            population, "--throttle-ms", throttle_ms,
+            static_cast<char*>(nullptr));
     std::_Exit(127);  // exec failed
   }
   return pid;
-}
-
-int wait_exit(pid_t pid) {
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  return status;
 }
 
 /// Polls until the child has written its first checkpoint (or `ms` elapse).
@@ -65,24 +52,7 @@ bool wait_for_checkpoint(const fs::path& dir, int ms) {
   return fs::exists(ckpt);
 }
 
-class KillResumeTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!fs::exists(binary_path())) {
-      GTEST_SKIP() << "crashsafe_campaign example not built at "
-                   << binary_path();
-    }
-    base_ = fs::temp_directory_path() /
-            ("ccfuzz_killresume_" +
-             std::string(
-                 ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    fs::remove_all(base_);
-    fs::create_directories(base_);
-  }
-  void TearDown() override { fs::remove_all(base_); }
-
-  fs::path base_;
-};
+using KillResumeTest = CliTest;
 
 TEST_F(KillResumeTest, SigkillMidCampaignThenResumeConvergesBitIdentically) {
   // Reference: the same campaign, never interrupted.
@@ -104,17 +74,12 @@ TEST_F(KillResumeTest, SigkillMidCampaignThenResumeConvergesBitIdentically) {
     ::kill(pid, SIGKILL);
     wait_exit(pid);
   }
+  // The throttle held the campaign open: the kill landed before the report.
+  ASSERT_FALSE(fs::exists(fs::path(dir) / "summary.csv"))
+      << "the victim finished before SIGKILL; --throttle-ms had no effect";
 
   // After SIGKILL the JSONL log must still hold only whole lines.
-  {
-    std::ifstream jsonl(fs::path(dir) / "progress.jsonl");
-    std::string line;
-    while (std::getline(jsonl, line)) {
-      ASSERT_FALSE(line.empty());
-      EXPECT_EQ(line.front(), '{') << line;
-      EXPECT_EQ(line.back(), '}') << line;
-    }
-  }
+  expect_whole_json_lines(fs::path(dir) / "progress.jsonl");
 
   // Resume: the exact same command finishes the campaign.
   {
@@ -125,17 +90,13 @@ TEST_F(KillResumeTest, SigkillMidCampaignThenResumeConvergesBitIdentically) {
         << "resume run failed";
   }
 
-  for (const char* rel :
-       {"summary.csv", "summary.json",
-        "reno.traffic.low-utilization/history.csv",
-        "cubic.traffic.low-utilization/history.csv"}) {
-    ASSERT_TRUE(fs::exists(fs::path(dir) / rel)) << rel;
-    EXPECT_EQ(slurp(fs::path(dir) / rel), slurp(fs::path(ref_dir) / rel))
-        << rel << " diverged after kill+resume";
-  }
+  expect_same_files(dir, ref_dir,
+                    {"summary.csv", "summary.json",
+                     "reno.traffic.low-utilization/history.csv",
+                     "cubic.traffic.low-utilization/history.csv"});
 }
 
-TEST_F(KillResumeTest, SigtermShutsDownGracefullyWithExitZero) {
+TEST_F(KillResumeTest, SigtermShutsDownGracefullyWithExitThree) {
   const std::string dir = (base_ / "term").string();
   const pid_t pid = spawn_campaign(dir, "6", "16", "150");
   ASSERT_GT(pid, 0);
@@ -143,18 +104,10 @@ TEST_F(KillResumeTest, SigtermShutsDownGracefullyWithExitZero) {
   ::kill(pid, SIGTERM);
   const int status = wait_exit(pid);
   EXPECT_TRUE(WIFEXITED(status)) << "child did not exit normally";
-  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(WEXITSTATUS(status), ccfuzz::dist::kWorkerInterruptedExit);
   // The graceful path leaves a resumable checkpoint and a parseable log.
   EXPECT_TRUE(fs::exists(fs::path(dir) / "checkpoint" / "campaign.ckpt"));
-  std::ifstream jsonl(fs::path(dir) / "progress.jsonl");
-  std::string line;
-  bool saw_any = false;
-  while (std::getline(jsonl, line)) {
-    saw_any = true;
-    EXPECT_EQ(line.front(), '{') << line;
-    EXPECT_EQ(line.back(), '}') << line;
-  }
-  EXPECT_TRUE(saw_any);
+  expect_whole_json_lines(fs::path(dir) / "progress.jsonl");
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "campaign/campaign.h"
 #include "campaign/report.h"
 #include "fuzz/score.h"
+#include "test_support.h"
 #include "triage/bundle.h"
 #include "util/fs.h"
 
@@ -38,31 +39,15 @@ campaign::CellConfig tiny_cell(const std::string& cca) {
   return cell;
 }
 
-class TriagePipelineTest : public ::testing::Test {
+class TriagePipelineTest : public test::ScratchDirTest {
  protected:
-  void SetUp() override {
-    dir_ = stdfs::temp_directory_path() /
-           ("ccfuzz_triage_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()
-                ->current_test_info()
-                ->name());
-    stdfs::remove_all(dir_);
-    stdfs::create_directories(dir_);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    stdfs::remove_all(dir_, ec);
-  }
-
   std::vector<campaign::CellConfig> run_campaign() {
     campaign::CampaignConfig cfg;
-    cfg.add_cell(tiny_cell("reno")).output_dir(dir_.string());
+    cfg.add_cell(tiny_cell("reno")).output_dir(base_.string());
     campaign::Campaign c(cfg);
     c.run();
     return cfg.cells();
   }
-
-  stdfs::path dir_;
 };
 
 TEST_F(TriagePipelineTest, WinnersBecomeReplayableBundles) {
@@ -74,7 +59,7 @@ TEST_F(TriagePipelineTest, WinnersBecomeReplayableBundles) {
   // this test is the pipeline contract, not a specific minimization ratio.
   tcfg.tolerance = 0.5;
   tcfg.max_minimize_evals = 300;
-  Result<TriageStats> stats = triage_report(cells, dir_.string(), tcfg);
+  Result<TriageStats> stats = triage_report(cells, base_.string(), tcfg);
   ASSERT_TRUE(stats) << stats.error().message;
   EXPECT_GT(stats->candidates, 0);
   EXPECT_EQ(stats->errors, 0);
@@ -85,7 +70,7 @@ TEST_F(TriagePipelineTest, WinnersBecomeReplayableBundles) {
   // strictly below its original (the acceptance bar for the pipeline).
   bool strictly_smaller = false;
   int bundles = 0;
-  for (const auto& entry : stdfs::directory_iterator(dir_ / "findings")) {
+  for (const auto& entry : stdfs::directory_iterator(base_ / "findings")) {
     if (!entry.is_directory()) continue;
     ++bundles;
     Result<BundleManifest> m = load_manifest(entry.path().string());
@@ -103,7 +88,7 @@ TEST_F(TriagePipelineTest, WinnersBecomeReplayableBundles) {
   // Replay passes bit-deterministically, twice.
   for (int i = 0; i < 2; ++i) {
     Result<ReplayStats> rp =
-        replay_findings(cells, (dir_ / "findings").string());
+        replay_findings(cells, (base_ / "findings").string());
     ASSERT_TRUE(rp) << rp.error().message;
     EXPECT_EQ(rp->bundles, stats->bundles_written);
     EXPECT_EQ(rp->drifted, 0);
@@ -112,10 +97,10 @@ TEST_F(TriagePipelineTest, WinnersBecomeReplayableBundles) {
   }
 
   // Re-triage is idempotent: same ids, no new bundles.
-  Result<TriageStats> again = triage_report(cells, dir_.string(), tcfg);
+  Result<TriageStats> again = triage_report(cells, base_.string(), tcfg);
   ASSERT_TRUE(again) << again.error().message;
   int bundles_after = 0;
-  for (const auto& entry : stdfs::directory_iterator(dir_ / "findings")) {
+  for (const auto& entry : stdfs::directory_iterator(base_ / "findings")) {
     if (entry.is_directory()) ++bundles_after;
   }
   EXPECT_EQ(bundles_after, bundles);
@@ -126,13 +111,13 @@ TEST_F(TriagePipelineTest, ReplayCatchesATamperedExpectation) {
   TriageConfig tcfg;
   tcfg.tolerance = 0.5;
   tcfg.max_minimize_evals = 60;
-  Result<TriageStats> stats = triage_report(cells, dir_.string(), tcfg);
+  Result<TriageStats> stats = triage_report(cells, base_.string(), tcfg);
   ASSERT_TRUE(stats) << stats.error().message;
   ASSERT_GT(stats->bundles_written, 0);
 
   // Rewrite one manifest's expectation to an unreachable score.
   std::string victim;
-  for (const auto& entry : stdfs::directory_iterator(dir_ / "findings")) {
+  for (const auto& entry : stdfs::directory_iterator(base_ / "findings")) {
     if (entry.is_directory()) {
       victim = entry.path().string();
       break;
@@ -146,7 +131,8 @@ TEST_F(TriagePipelineTest, ReplayCatchesATamperedExpectation) {
   ASSERT_FALSE(write_file_atomic(victim + "/" + kManifestFile, to_json(*m),
                                  /*sync=*/false));
 
-  Result<ReplayStats> rp = replay_findings(cells, (dir_ / "findings").string());
+  Result<ReplayStats> rp =
+      replay_findings(cells, (base_ / "findings").string());
   ASSERT_TRUE(rp) << rp.error().message;
   EXPECT_EQ(rp->drifted, 1);
   EXPECT_EQ(rp->ok, rp->bundles - 1);
@@ -157,14 +143,14 @@ TEST_F(TriagePipelineTest, ReplayFlagsForeignMatrixAndScenarioDrift) {
   TriageConfig tcfg;
   tcfg.tolerance = 0.5;
   tcfg.max_minimize_evals = 0;  // minimization off: bundles ship the original
-  Result<TriageStats> stats = triage_report(cells, dir_.string(), tcfg);
+  Result<TriageStats> stats = triage_report(cells, base_.string(), tcfg);
   ASSERT_TRUE(stats) << stats.error().message;
   ASSERT_GT(stats->bundles_written, 0);
 
   // A matrix without the bundle's cell cannot vouch for it...
   std::vector<campaign::CellConfig> foreign = {tiny_cell("cubic")};
   Result<ReplayStats> rp =
-      replay_findings(foreign, (dir_ / "findings").string());
+      replay_findings(foreign, (base_ / "findings").string());
   ASSERT_TRUE(rp) << rp.error().message;
   EXPECT_EQ(rp->broken, rp->bundles);
 
@@ -172,21 +158,21 @@ TEST_F(TriagePipelineTest, ReplayFlagsForeignMatrixAndScenarioDrift) {
   // silently re-scored.
   std::vector<campaign::CellConfig> drifted = cells;
   drifted.front().scenario.duration = TimeNs::seconds(3);
-  rp = replay_findings(drifted, (dir_ / "findings").string());
+  rp = replay_findings(drifted, (base_ / "findings").string());
   ASSERT_TRUE(rp) << rp.error().message;
   EXPECT_EQ(rp->broken, rp->bundles);
 }
 
 TEST_F(TriagePipelineTest, MissingReportIsTypedIo) {
   Result<TriageStats> stats =
-      triage_report({}, (dir_ / "nope").string(), TriageConfig{});
+      triage_report({}, (base_ / "nope").string(), TriageConfig{});
   ASSERT_FALSE(stats);
   EXPECT_EQ(stats.error().code, Error::Code::kIo);
 }
 
 TEST_F(TriagePipelineTest, EmptyFindingsDirIsAnEmptyCorpus) {
   Result<ReplayStats> rp =
-      replay_findings({}, (dir_ / "findings").string());
+      replay_findings({}, (base_ / "findings").string());
   ASSERT_TRUE(rp) << rp.error().message;
   EXPECT_EQ(rp->bundles, 0);
 }

@@ -4,49 +4,26 @@
 // empty files, files that are all tail, and tails longer than one read chunk.
 #include "util/fs.h"
 
-#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "test_support.h"
+
 namespace ccfuzz {
 namespace {
 
-namespace stdfs = std::filesystem;
-
-class TruncateTornTailTest : public ::testing::Test {
+class TruncateTornTailTest : public test::ScratchDirTest {
  protected:
-  void SetUp() override {
-    dir_ = stdfs::temp_directory_path() /
-           ("ccfuzz_trunc_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
-    stdfs::create_directories(dir_);
-    path_ = (dir_ / "feed.jsonl").string();
-  }
-  void TearDown() override {
-    std::error_code ec;
-    stdfs::remove_all(dir_, ec);
-  }
-
   void write_raw(const std::string& body) {
     std::ofstream os(path_, std::ios::binary | std::ios::trunc);
     os << body;
   }
 
-  std::string read_back() const {
-    std::ifstream is(path_, std::ios::binary);
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    return ss.str();
-  }
+  std::string read_back() const { return test::slurp(path_); }
 
-  stdfs::path dir_;
-  std::string path_;
+  const std::string path_ = (base_ / "feed.jsonl").string();
 };
 
 TEST_F(TruncateTornTailTest, EmptyFileIsAlreadyClean) {

@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -43,9 +42,6 @@
 #include "faultinject/fault_plan.h"
 #include "fuzz/score.h"
 #include "scenario/config.h"
-#include "trace/hash.h"
-#include "trace/trace_io.h"
-#include "triage/bundle.h"
 #include "triage/triage.h"
 #include "util/fs.h"
 #include "util/time.h"
@@ -540,9 +536,9 @@ int cmd_doctor(const Options& opt, const char* argv0) {
     }
   }
 
-  // Finding bundles: every manifest must parse, its traces must load, and
-  // its bookkeeping must be self-consistent — a torn bundle would make
-  // `ccfuzz replay` fail long after the campaign that wrote it is gone.
+  // Finding bundles: the checks `ccfuzz replay` applies (check_bundle) — a
+  // torn bundle would make replay fail long after the campaign that wrote
+  // it is gone.
   if (stdfs::exists(opt.output + "/findings")) {
     std::vector<std::string> dirs;
     for (const auto& entry :
@@ -559,54 +555,12 @@ int cmd_doctor(const Options& opt, const char* argv0) {
     }
     std::size_t sound = 0;
     for (const std::string& dir : dirs) {
-      const std::string name = stdfs::path(dir).filename().string();
-      Result<triage::BundleManifest> m = triage::load_manifest(dir);
-      if (!m) {
-        warn("finding " + name + ": manifest unusable (" +
-             std::string(to_string(m.error().code)) + "): " +
-             m.error().message);
-        continue;
+      if (Result<triage::CheckedBundle> b = triage::check_bundle(dir, cells)) {
+        ++sound;
+      } else {
+        warn("finding " + stdfs::path(dir).filename().string() + " (" +
+             to_string(b.error().code) + "): " + b.error().message);
       }
-      if (m->id != name) {
-        warn("finding " + name + ": manifest id " + m->id +
-             " does not match its directory");
-        continue;
-      }
-      bool traces_ok = true;
-      for (const char* file :
-           {triage::kOriginalTraceFile, triage::kMinimizedTraceFile}) {
-        try {
-          const trace::Trace t = trace::load_trace(dir + "/" + file);
-          const std::uint64_t want = std::strcmp(file, triage::kOriginalTraceFile)
-                                         ? m->minimized_events
-                                         : m->original_events;
-          if (t.stamps.size() != want) {
-            warn("finding " + name + ": " + file + " has " +
-                 std::to_string(t.stamps.size()) + " event(s), manifest says " +
-                 std::to_string(want));
-            traces_ok = false;
-          }
-        } catch (const std::exception& e) {
-          warn("finding " + name + ": " + file + " unusable: " + e.what());
-          traces_ok = false;
-        }
-      }
-      if (!traces_ok) continue;
-      if (m->minimized_events > m->original_events) {
-        warn("finding " + name + ": minimized trace larger than original");
-        continue;
-      }
-      for (const campaign::CellConfig& cell : cells) {
-        if (cell.name != m->cell) continue;
-        if (trace::hash_hex(campaign::scenario_key(cell.scenario)) !=
-            m->scenario_hash) {
-          warn("finding " + name + ": scenario drifted from cell " +
-               cell.name + " — replay with this matrix would refuse it");
-          traces_ok = false;
-        }
-        break;
-      }
-      if (traces_ok) ++sound;
     }
     if (!dirs.empty() && sound == dirs.size()) {
       ok(std::to_string(sound) + " finding bundle(s) sound");
@@ -662,8 +616,10 @@ int run_in_process(const Options& opt) {
   // line first) so the full campaign history stays in one file.
   campaign::JsonlObserver jsonl(opt.output + "/progress.jsonl",
                                 /*sync=*/false, /*append=*/campaign.resumed());
+  dist::ThrottleObserver throttle(opt.throttle_ms);
   campaign.add_observer(&console);
   campaign.add_observer(&jsonl);
+  if (opt.throttle_ms > 0) campaign.add_observer(&throttle);
   const campaign::CampaignReport& report = campaign.run();
   if (report.interrupted) {
     std::printf("interrupted: state checkpointed, rerun to resume\n");
